@@ -17,7 +17,7 @@ from repro import MiningSession, weather_like
 
 def main() -> None:
     db = weather_like()
-    session = MiningSession(db, algorithm="hmine", strategy="mcp")
+    session = MiningSession(db, strategy="mcp")
 
     # The analyst's journey, in relative supports:
     #   5%  - first look

@@ -41,7 +41,7 @@ def main() -> None:
     )
     db = quest_database(params, seed=21)
     catalog = build_catalog(params.n_items, seed=21)
-    session = MiningSession(db, algorithm="hmine", strategy="mcp", item_table=catalog)
+    session = MiningSession(db, strategy="mcp", item_table=catalog)
 
     def show(label: str, patterns) -> None:
         report = session.last_report

@@ -26,7 +26,7 @@ def main() -> None:
                     n_patterns=35, avg_pattern_length=4),
         seed=13,
     )
-    session = MiningSession(db, algorithm="hmine", strategy="mcp")
+    session = MiningSession(db, strategy="mcp")
 
     print(f"dataset: {len(db)} baskets, {db.item_count()} items\n")
     print(f"{'query':<44} {'path':<8} {'patterns':>8} {'rules':>6}")

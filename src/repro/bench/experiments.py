@@ -964,11 +964,9 @@ def parallel_speedup_rows(
     for jobs in jobs_grid:
         engine = ParallelEngine(jobs, executor=executor)
         if task == "recycle":
-            outcome = engine.recycle_mine(
-                db, workload.old_patterns, absolute, algorithm="hmine"
-            )
+            outcome = engine.recycle_mine(db, workload.old_patterns, absolute)
         else:
-            outcome = engine.mine(db, absolute, algorithm="hmine")
+            outcome = engine.mine(db, absolute)
         if outcome.fallback:
             raise BenchmarkError(
                 f"parallel {dataset} jobs={jobs} fell back: "

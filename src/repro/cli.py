@@ -77,25 +77,12 @@ def _command_mine(args: argparse.Namespace) -> int:
     support = _absolute_support(db, args.support)
     counters = CostCounters()
     started = time.perf_counter()
-    if args.jobs > 1:
-        from repro.parallel import ParallelEngine
-
-        outcome = ParallelEngine(args.jobs).mine(
-            db, support, algorithm=args.algorithm, counters=counters
-        )
-        patterns = outcome.patterns
-        degradation = outcome.degradation
-    else:
-        miner = get_miner(args.algorithm, kind="baseline").fn
-        patterns = miner(db, support, counters)
-        degradation = None
+    patterns = get_miner(args.algorithm, kind="baseline").fn(db, support, counters)
     elapsed = time.perf_counter() - started
     print(
         f"{args.algorithm}: {len(patterns)} patterns (max length "
         f"{patterns.max_length()}) at support {support} in {elapsed:.2f}s"
     )
-    if degradation is not None and degradation.degraded:
-        print(f"degraded: {degradation.describe()}")
     if args.output:
         write_patterns(patterns, args.output)
         print(f"wrote {args.output}")
@@ -135,7 +122,7 @@ def _command_recycle(args: argparse.Namespace) -> int:
     outcome = recycle_mine_detailed(
         db, old_patterns, support,
         algorithm=args.algorithm, strategy=args.strategy, counters=counters,
-        backend=args.backend, jobs=args.jobs,
+        backend=args.backend,
     )
     elapsed = time.perf_counter() - started
     print(
@@ -144,8 +131,6 @@ def _command_recycle(args: argparse.Namespace) -> int:
         f"(compression ratio {outcome.compression.ratio:.3f}, "
         f"group-count shortcuts {counters.group_counts})"
     )
-    if outcome.degradation.degraded:
-        print(f"degraded: {outcome.degradation.describe()}")
     if args.output:
         write_patterns(outcome.patterns, args.output)
         print(f"wrote {args.output}")
@@ -159,12 +144,7 @@ def _command_update(args: argparse.Namespace) -> int:
     db = _load_database(args)
     if not args.append and not args.delete:
         raise ReproError("provide --append and/or --delete to form a delta")
-    session = MiningSession(
-        db,
-        algorithm=args.algorithm,
-        strategy=args.strategy,
-        backend=args.backend,
-    )
+    session = MiningSession(db, strategy=args.strategy, backend=args.backend)
     session.mine(args.support)
     first = session.last_report
     print(
@@ -196,17 +176,13 @@ def _command_update(args: argparse.Namespace) -> int:
         f"re-mine: path={report.path}{mode}, {len(patterns)} patterns in "
         f"{report.elapsed_seconds:.2f}s (work {report.counters.total_work()})"
     )
-    scratch = CostCounters()
-    miner = get_miner(
-        args.algorithm if args.algorithm != "naive" else "hmine", kind="baseline"
-    ).fn
-    scratch_patterns = miner(
-        session.db, _absolute_support(session.db, args.support), scratch
-    )
-    if scratch_patterns != patterns:
+    # A cold session over the current database is the scratch re-mine
+    # the update path saves: same kernel, so the work units compare.
+    scratch = MiningSession(session.db, strategy=args.strategy, backend=args.backend)
+    if scratch.mine(args.support) != patterns:
         raise ReproError("update path diverged from scratch mining")
     update_work = report.counters.total_work()
-    scratch_work = scratch.total_work()
+    scratch_work = scratch.last_report.counters.total_work()
     if scratch_work > 0 and update_work < scratch_work:
         print(
             f"scratch re-mine work {scratch_work} — update path saved "
@@ -646,8 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="min support (fraction <= 1.0, or absolute count)")
     mine.add_argument("--algorithm", default="hmine",
                       choices=miner_names("baseline"))
-    mine.add_argument("--jobs", type=int, default=1,
-                      help="worker processes for sharded mining (default 1)")
     mine.add_argument("--output", help="write patterns to this file")
     mine.set_defaults(handler=_command_mine)
 
@@ -672,8 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     recycle.add_argument("--strategy", default="mcp", choices=("mcp", "mlp"))
     recycle.add_argument("--backend", default="bitset", choices=("bitset", "python"),
                          help="group-claiming / mining backend")
-    recycle.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for sharded Phase 2 (default 1)")
     recycle.add_argument("--output", help="write patterns to this file")
     recycle.set_defaults(handler=_command_recycle)
 
@@ -689,8 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="FIMI-format file of transactions to append")
     update.add_argument("--delete",
                         help="comma-separated tids to delete")
-    update.add_argument("--algorithm", default="hmine",
-                        choices=(*miner_names("baseline"), "naive"))
     update.add_argument("--strategy", default="mcp", choices=("mcp", "mlp"))
     update.add_argument("--backend", default="bitset",
                         choices=("bitset", "python"),

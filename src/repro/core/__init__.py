@@ -21,9 +21,7 @@ from repro.core.incremental import (
     incremental_mine,
 )
 from repro.core.recycle import (
-    RECYCLING_MINERS,
     RecycleOutcome,
-    get_recycling_miner,
     recycle_mine,
     recycle_mine_detailed,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "MLP",
     "MiningSession",
     "RANDOM",
-    "RECYCLING_MINERS",
     "RecycleOutcome",
     "STRATEGIES",
     "apply_deletions",
@@ -94,7 +91,6 @@ __all__ = [
     "fup_applicable",
     "fup_update",
     "fup_update_delta",
-    "get_recycling_miner",
     "get_strategy",
     "incremental_mine",
     "mcp_utility",

@@ -10,10 +10,15 @@ the paper's Section 2 case analysis:
 * ``new_support >= feedstock_support`` — the cached set is a superset of
   the answer: **filter** it, no mining at all;
 * ``new_support < feedstock_support`` and the feedstock is non-empty —
-  **recycle**: compress the database with the cached patterns and run a
-  recycling miner;
+  **recycle**: compress the database with the cached patterns and mine
+  the compressed groups;
 * no feedstock (or an empty one, which carries nothing to salvage) —
-  **mine** from scratch with a baseline algorithm.
+  **mine** from scratch.
+
+Both mining paths run the one grouped kernel,
+:func:`~repro.storage.projection.mine_grouped` — a scratch mine is a
+grouped database of one residual group. The paper's named miners stay in
+the registry as reproduction artifacts; no serving path looks them up.
 
 Since the versioned-chain refactor there is a fourth path for the case
 where *the database itself changed* (the paper's Section 2 extended
@@ -21,9 +26,8 @@ problem statement): **update** — patch a pattern set warehoused for a
 chain *ancestor* using the :class:`~repro.data.versioned.DatabaseDelta`
 between the versions. :func:`plan_update_path` arbitrates it against the
 trichotomy with a churn cost model, and picks between two patch engines:
-FUP (exact old supports, insert-only, cheap) and recycling-based
-``incremental_mine`` (any delta, full recount over the compressed new
-database).
+FUP (exact old supports, insert-only, cheap) and recycling (any delta,
+full recount over the compressed new database).
 
 The planner is pure (no I/O, no mining); :func:`execute_plan` carries a
 plan out.  Splitting the two keeps the decision testable in isolation
@@ -32,24 +36,30 @@ and lets callers report *what* they decided before paying for it.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
+from repro.core.groups import GroupedDatabase
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta
 from repro.errors import ReproError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import get_miner, has_miner
 from repro.resilience import (
     REASON_CIRCUIT_OPEN,
     REASON_FUP_INSERT_ONLY,
     REASON_UPDATE_FAILED,
     UPDATE_PATCH,
+    CircuitBreaker,
     DegradationReport,
     ResilienceConfig,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.parallel.executor import ParallelOutcome
 
 #: The four sound paths to a support-level pattern set.
 PATH_FILTER = "filter"
@@ -144,8 +154,7 @@ def plan_update_path(
       **update/fup**: the cheapest sound patch, scans mostly the
       increment;
     * anything else — **update/recycle**: the old patterns compress the
-      *new* database and a recycling miner recounts exactly
-      (:func:`~repro.core.incremental.incremental_mine`'s engine), sound
+      *new* database and the kernel recounts exactly, sound
       for deletions, mixed deltas and threshold drops alike.
     """
     if feedstock is None or feedstock_support is None or delta is None:
@@ -182,7 +191,6 @@ def execute_plan(
     plan: MiningPlan,
     db: TransactionDatabase,
     new_support: int,
-    algorithm: str = "hmine",
     strategy: str = "mcp",
     counters: CostCounters | None = None,
     backend: str = "bitset",
@@ -192,16 +200,18 @@ def execute_plan(
 ) -> PatternSet:
     """Carry out ``plan``, returning the full pattern set at ``new_support``.
 
-    ``algorithm`` is a baseline name from the miner registry (or
-    ``"naive"``); the recycling path resolves it to a recycling
-    adaptation via :func:`resolve_recycling_algorithm`. ``backend``
-    selects the compression claiming implementation on that path.
-    ``jobs > 1`` fans the recycle and mine paths out through the sharded
-    engine (:mod:`repro.parallel`); the filter path never mines, so it
-    never shards. ``resilience`` threads a retry budget and fault
-    injector into that engine and, when it carries a circuit breaker,
-    skips straight to serial while the breaker is open; every rung
-    descended is recorded on ``degradation`` (when given).
+    Every mining path runs the one grouped kernel
+    (:func:`~repro.storage.projection.mine_grouped`): a scratch mine is
+    the degenerate database of one residual group, and a recycle (or an
+    update-recycle patch) compresses ``db`` with the feedstock first.
+    ``backend`` selects both the compression claiming and the kernel
+    implementation. ``jobs > 1`` fans the recycle and mine paths out
+    through the sharded engine (:mod:`repro.parallel`); the filter path
+    never mines, so it never shards. ``resilience`` threads a retry
+    budget and fault injector into that engine and, when it carries a
+    circuit breaker, skips straight to serial while the breaker is open
+    (:func:`run_guarded_parallel`); every rung descended is recorded on
+    ``degradation`` (when given).
 
     The update path additionally honors the ``update.patch`` fault point
     and guarantees atomicity-of-outcome: any failure mid-patch falls
@@ -217,24 +227,20 @@ def execute_plan(
             # (smaller) surviving representation is ever expanded.
             return plan.feedstock.filter_min_support(new_support).expand()
         return plan.feedstock.filter_min_support(new_support)
+    mine = functools.partial(
+        _mine_with_kernel,
+        db,
+        new_support=new_support,
+        strategy=strategy,
+        counters=counters,
+        backend=backend,
+        jobs=jobs,
+        resilience=resilience,
+        degradation=degradation,
+    )
     if plan.path == PATH_RECYCLE:
-        from repro.core.recycle import recycle_mine_detailed
-
         assert plan.feedstock is not None
-        outcome = recycle_mine_detailed(
-            db,
-            plan.feedstock,
-            new_support,
-            algorithm=resolve_recycling_algorithm(algorithm),
-            strategy=strategy,
-            counters=counters,
-            backend=backend,
-            jobs=jobs,
-            resilience=resilience,
-        )
-        if degradation is not None:
-            degradation.extend(outcome.degradation)
-        return outcome.patterns
+        return mine(plan.feedstock)
     if plan.path == PATH_UPDATE:
         assert plan.feedstock is not None and plan.delta is not None
         try:
@@ -259,27 +265,11 @@ def execute_plan(
                     counters,
                     degradation,
                 )
-            # UPDATE_RECYCLE: incremental_mine's engine with the full
-            # parallel/resilience plumbing — the ancestor's patterns
-            # compress the *new* database and the recycling miner
-            # recounts every support exactly, so stale feedstock
-            # supports cost performance, never correctness.
-            from repro.core.recycle import recycle_mine_detailed
-
-            outcome = recycle_mine_detailed(
-                db,
-                plan.feedstock,
-                new_support,
-                algorithm=resolve_recycling_algorithm(algorithm),
-                strategy=strategy,
-                counters=counters,
-                backend=backend,
-                jobs=jobs,
-                resilience=resilience,
-            )
-            if degradation is not None:
-                degradation.extend(outcome.degradation)
-            return outcome.patterns
+            # UPDATE_RECYCLE: the ancestor's patterns compress the *new*
+            # database and the kernel recounts every support exactly, so
+            # stale feedstock supports cost performance, never
+            # correctness.
+            return mine(plan.feedstock)
         except ReproError:
             # A failed update must degrade to a clean scratch mine —
             # never serve a half-patched pattern set. (If FUP already
@@ -292,54 +282,89 @@ def execute_plan(
                 degradation.record(PATH_UPDATE, PATH_MINE, REASON_UPDATE_FAILED)
             if counters is not None:
                 counters.add("update_fallbacks")
-    name = resolve_baseline_algorithm(algorithm)
+    return mine(None)
+
+
+def _mine_with_kernel(
+    db: TransactionDatabase,
+    feedstock: "PatternSet | CondensedPatternSet | None",
+    *,
+    new_support: int,
+    strategy: str,
+    counters: CostCounters | None,
+    backend: str,
+    jobs: int,
+    resilience: ResilienceConfig | None,
+    degradation: DegradationReport | None,
+) -> PatternSet:
+    """Mine ``db`` with the grouped kernel, recycling ``feedstock`` if any."""
     if jobs > 1:
+        from repro.parallel import ParallelEngine
+
         resilience = resilience or ResilienceConfig()
-        breaker = resilience.breaker
-        if breaker is not None and not breaker.allow():
-            if degradation is not None:
-                degradation.record("parallel", "serial", REASON_CIRCUIT_OPEN)
-            if counters is not None:
-                counters.add("parallel_circuit_skips")
+        engine = ParallelEngine(
+            jobs, retry_policy=resilience.retry, fault_injector=resilience.faults
+        )
+        if feedstock is None:
+            run = functools.partial(
+                engine.mine, db, new_support, strategy, counters, backend
+            )
         else:
-            from repro.parallel import ParallelEngine
-
-            outcome = ParallelEngine(
-                jobs,
-                retry_policy=resilience.retry,
-                fault_injector=resilience.faults,
-            ).mine(db, new_support, algorithm=name, counters=counters, backend=backend)
-            if breaker is not None:
-                if outcome.fallback:
-                    breaker.record_failure()
-                else:
-                    breaker.record_success()
-            if degradation is not None:
-                degradation.extend(outcome.degradation)
+            run = functools.partial(
+                engine.recycle_mine,
+                db,
+                feedstock,
+                new_support,
+                strategy,
+                counters,
+                backend,
+            )
+        outcome = run_guarded_parallel(resilience.breaker, run, counters, degradation)
+        if outcome is not None:
             return outcome.patterns
-    return get_miner(name, kind="baseline").mine(db, new_support, counters)
+    # Looked up at call time, so a wrapped kernel (the benchmark's
+    # tracer) sees every call.
+    from repro.core.recycle import compress
+    from repro.storage.projection import mine_grouped
+
+    if feedstock is None:
+        grouped = GroupedDatabase.from_database(db)
+    else:
+        if isinstance(feedstock, CondensedPatternSet):
+            # Phase 1 only needs genuine frequent patterns with exact
+            # supports; the condensed entries qualify without expansion.
+            feedstock = feedstock.entry_patterns()
+        grouped = compress(db, feedstock, strategy, counters, backend=backend).compressed
+    return mine_grouped(grouped, new_support, counters, backend=backend)
 
 
-def resolve_baseline_algorithm(algorithm: str) -> str:
-    """The registry baseline name backing ``algorithm``.
+def run_guarded_parallel(
+    breaker: CircuitBreaker | None,
+    run: "Callable[[], ParallelOutcome]",
+    counters: CostCounters | None = None,
+    degradation: DegradationReport | None = None,
+) -> "ParallelOutcome | None":
+    """One breaker-guarded attempt at the sharded engine.
 
-    ``"naive"`` has no baseline form (RP-Mine needs a compressed
-    database), so it mines its initial iteration with H-Mine.
+    Returns ``None`` without calling ``run`` while ``breaker`` is open
+    (recorded as ``parallel→serial: circuit_open``), so the caller serves
+    serially without spinning up — and re-crashing — worker processes.
+    Otherwise runs the engine, feeds its outcome to the breaker (a
+    whole-run fallback is a failure) and folds its degradation steps
+    into ``degradation``.
     """
-    return "hmine" if algorithm == "naive" else algorithm
-
-
-def resolve_recycling_algorithm(algorithm: str) -> str:
-    """The registry recycling name backing a baseline ``algorithm``.
-
-    Exact match first; then the base name before any ``-backend`` suffix
-    (``eclat-bitset`` recycles with Recycle-Eclat); then Recycle-HM, so
-    every baseline algorithm still gets a sound (if not specialized)
-    recycling path.
-    """
-    if has_miner(algorithm, kind="recycling"):
-        return algorithm
-    base = algorithm.split("-", 1)[0]
-    if has_miner(base, kind="recycling"):
-        return base
-    return "hmine"
+    if breaker is not None and not breaker.allow():
+        if degradation is not None:
+            degradation.record("parallel", "serial", REASON_CIRCUIT_OPEN)
+        if counters is not None:
+            counters.add("parallel_circuit_skips")
+        return None
+    outcome = run()
+    if breaker is not None:
+        if outcome.fallback:
+            breaker.record_failure()
+        else:
+            breaker.record_success()
+    if degradation is not None:
+        degradation.extend(outcome.degradation)
+    return outcome

@@ -7,40 +7,24 @@ This is the paper's two-phase pipeline as a function::
 
 Recycling miners (HM-MCP, HM-MLP, FP-MCP, FP-MLP, TP-MCP, TP-MLP, the
 naive RP-Mine and Recycle-Eclat) resolve through the single
-:mod:`repro.mining.registry` under ``kind="recycling"``.
+:mod:`repro.mining.registry` under ``kind="recycling"``. This is the
+reproduction surface that drives the paper's figures; the serving stack
+(:func:`repro.core.planner.execute_plan`) recycles with ``compress``
+followed by the grouped kernel instead of a named miner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.core.compression import CompressionResult, compress
-from repro.core.groups import GroupedDatabase
 from repro.core.utility import CompressionStrategy
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError, RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import MinerView, get_miner
-from repro.resilience import (
-    REASON_CIRCUIT_OPEN,
-    DegradationReport,
-    ResilienceConfig,
-)
-
-#: A recycling miner maps (grouped db, min support, counters) -> patterns.
-RecyclingMiner = Callable[[GroupedDatabase, int, CostCounters | None], PatternSet]
-
-#: Deprecated: live name->fn view over the registry's recycling miners.
-#: Use :func:`repro.mining.registry.get_miner` in new code.
-RECYCLING_MINERS = MinerView("recycling")
-
-
-def get_recycling_miner(algorithm: str) -> RecyclingMiner:
-    """Look up a recycling miner by base-algorithm name via the registry."""
-    return get_miner_spec(algorithm).fn
+from repro.mining.registry import get_miner
 
 
 def get_miner_spec(algorithm: str):
@@ -53,16 +37,10 @@ def get_miner_spec(algorithm: str):
 
 @dataclass(frozen=True)
 class RecycleOutcome:
-    """Everything a recycling run produced, for reporting.
-
-    ``degradation`` is empty unless the run descended the resilience
-    ladder (e.g. a sharded Phase 2 fell back to serial, or an open
-    circuit breaker skipped the parallel path entirely).
-    """
+    """Everything a recycling run produced, for reporting."""
 
     patterns: PatternSet
     compression: CompressionResult
-    degradation: DegradationReport = field(default_factory=DegradationReport)
 
 
 def recycle_mine(
@@ -73,8 +51,6 @@ def recycle_mine(
     strategy: CompressionStrategy | str = "mcp",
     counters: CostCounters | None = None,
     backend: str = "bitset",
-    jobs: int = 1,
-    resilience: ResilienceConfig | None = None,
 ) -> PatternSet:
     """Phase 1 + Phase 2: compress ``db`` with ``old_patterns``, then mine.
 
@@ -83,21 +59,10 @@ def recycle_mine(
     recycling changes the cost, never the answer. ``backend`` selects the
     Phase 1 claiming implementation (both backends produce bit-identical
     groups; the grouped output always carries the encoded view the
-    bitset mining kernel needs). ``jobs > 1`` runs Phase 2 through the
-    sharded engine of :mod:`repro.parallel` — same answer, two-pass
-    partition scheme across worker processes — honoring the retry
-    budget, fault injector and circuit breaker in ``resilience``.
+    bitset mining kernel needs).
     """
     return recycle_mine_detailed(
-        db,
-        old_patterns,
-        min_support,
-        algorithm,
-        strategy,
-        counters,
-        backend,
-        jobs,
-        resilience=resilience,
+        db, old_patterns, min_support, algorithm, strategy, counters, backend
     ).patterns
 
 
@@ -109,8 +74,6 @@ def recycle_mine_detailed(
     strategy: CompressionStrategy | str = "mcp",
     counters: CostCounters | None = None,
     backend: str = "bitset",
-    jobs: int = 1,
-    resilience: ResilienceConfig | None = None,
 ) -> RecycleOutcome:
     """Like :func:`recycle_mine` but also returns compression statistics.
 
@@ -127,50 +90,6 @@ def recycle_mine_detailed(
         raise RecycleError(
             "no patterns to recycle — mine with a baseline algorithm instead"
         )
-    resilience = resilience or ResilienceConfig()
-    degradation = DegradationReport()
-    breaker = resilience.breaker
-    if jobs > 1 and breaker is not None and not breaker.allow():
-        # An open breaker demotes the whole request to the serial path
-        # below, without spinning up (and re-crashing) worker processes.
-        degradation.record("parallel", "serial", REASON_CIRCUIT_OPEN)
-        if counters is not None:
-            counters.add("parallel_circuit_skips")
-        jobs = 1
-    if jobs > 1:
-        # The deliberate upward edge: core reaches into repro.parallel
-        # only here, lazily, mirroring how the sharded engine reaches
-        # back down into the planner inside its workers.
-        from repro.parallel import ParallelEngine
-
-        strategy_name = strategy if isinstance(strategy, str) else strategy.name
-        outcome = ParallelEngine(
-            jobs,
-            retry_policy=resilience.retry,
-            fault_injector=resilience.faults,
-        ).recycle_mine(
-            db,
-            old_patterns,
-            min_support,
-            algorithm=algorithm,
-            strategy=strategy_name,
-            counters=counters,
-            backend=backend,
-        )
-        if breaker is not None:
-            if outcome.fallback:
-                breaker.record_failure()
-            else:
-                breaker.record_success()
-        degradation.extend(outcome.degradation)
-        assert outcome.compression is not None
-        return RecycleOutcome(
-            patterns=outcome.patterns,
-            compression=outcome.compression,
-            degradation=degradation,
-        )
     compression = compress(db, old_patterns, strategy, counters, backend=backend)
     patterns = spec.mine(compression.compressed, min_support, counters)
-    return RecycleOutcome(
-        patterns=patterns, compression=compression, degradation=degradation
-    )
+    return RecycleOutcome(patterns=patterns, compression=compression)

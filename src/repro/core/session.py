@@ -7,8 +7,8 @@ recycling built in. Each :meth:`mine` call classifies the constraint
 change against the previous iteration and picks the cheapest sound path:
 
 * **same / tightened** — filter the cached patterns (no mining);
-* **relaxed** — compress the database with the cached patterns and run a
-  recycling miner;
+* **relaxed** — compress the database with the cached patterns and mine
+  the compressed groups with the grouped kernel;
 * **incomparable** (mixed changes) — recycle at the new support, then
   filter by the remaining constraints.
 
@@ -34,7 +34,6 @@ from repro.core.planner import (
     execute_plan,
     plan_support_path,
     plan_update_path,
-    resolve_recycling_algorithm,
 )
 from repro.data.items import ItemTable
 from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
@@ -43,7 +42,6 @@ from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.errors import DataError, RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import has_miner, miner_names
 from repro.resilience import DegradationReport, ResilienceConfig
 
 
@@ -83,22 +81,16 @@ class MiningSession:
     Parameters
     ----------
     db:
-        The database under investigation.
-    algorithm:
-        Base mining algorithm, both for the initial run and as the
-        recycling adaptation for later runs. Any baseline name in the
-        miner registry is accepted ("naive" recycles with RP-Mine but
-        runs the initial iteration with H-Mine); when the name has no
-        recycling adaptation the session falls back to its base name
-        (``eclat-bitset`` recycles with Recycle-Eclat) and finally to
-        Recycle-HM.
+        The database under investigation. Every iteration that mines —
+        the initial run, a recycle, an update patch — runs the grouped
+        kernel (:func:`~repro.storage.projection.mine_grouped`).
     strategy:
         Compression strategy for the recycling path ("mcp" or "mlp").
     item_table:
         Optional item catalog consulted by aggregate constraints.
     backend:
-        Compression claiming backend for the recycling path ("bitset"
-        word-parallel default, "python" reference loops).
+        Compression claiming and kernel backend ("bitset" word-parallel
+        default, "python" reference loops).
     jobs:
         Worker processes for the mining paths (``1`` = in-process; more
         fans out through the sharded engine of :mod:`repro.parallel`,
@@ -126,7 +118,6 @@ class MiningSession:
     def __init__(
         self,
         db: TransactionDatabase,
-        algorithm: str = "hmine",
         strategy: str = "mcp",
         item_table: ItemTable | None = None,
         backend: str = "bitset",
@@ -135,9 +126,6 @@ class MiningSession:
         representation: str = "full",
         window: int | None = None,
     ) -> None:
-        if algorithm != "naive" and not has_miner(algorithm, kind="baseline"):
-            known = ", ".join(miner_names("baseline"))
-            raise RecycleError(f"unknown algorithm {algorithm!r} (known: {known}, naive)")
         if jobs < 1:
             raise RecycleError(f"jobs must be >= 1, got {jobs}")
         if representation not in REPRESENTATIONS:
@@ -161,7 +149,6 @@ class MiningSession:
         self._batches: deque[tuple[int, ...]] = deque()
         if window is not None:
             self._batches.append(tuple(db.tids))
-        self.algorithm = algorithm
         self.strategy = strategy
         self.backend = backend
         self.jobs = jobs
@@ -298,7 +285,6 @@ class MiningSession:
             plan,
             self.db,
             new_support,
-            algorithm=self.algorithm,
             strategy=self.strategy,
             counters=counters,
             backend=self.backend,
@@ -451,10 +437,3 @@ class MiningSession:
         except DataError as exc:
             raise RecycleError(str(exc)) from None
         self.seed_patterns(condensed, condensed.absolute_support)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _recycling_algorithm(self) -> str:
-        """The registry recycling name backing this session's algorithm."""
-        return resolve_recycling_algorithm(self.algorithm)

@@ -274,8 +274,8 @@ def read_warehouse_entry(
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read pattern file {path}: {exc}") from exc
     lines = text.splitlines(keepends=True)
     if not lines or not lines[0].startswith(SUPPORT_HEADER_PREFIX):

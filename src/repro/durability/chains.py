@@ -316,8 +316,8 @@ def read_chain_record(path: str | Path) -> ChainRecord:
     """Load and verify one chain file; :class:`DataError` on any damage."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        text = path.read_bytes().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read chain file {path}: {exc}") from exc
     lines = text.splitlines(keepends=True)
 

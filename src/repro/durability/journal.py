@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.errors import InjectedFaultError
+from repro.errors import DataError, InjectedFaultError
 from repro.resilience.faults import PERSIST_WRITE
 
 from repro.durability.atomic import atomic_write_text
@@ -134,18 +134,30 @@ class WriteAheadJournal:
         self.path = Path(path)
         self._faults = faults
         self._lock = threading.Lock()
-        records, _ = self.load()
+        try:
+            records, _ = self.load()
+        except DataError:
+            records = []  # recovery quarantines the file
         self._next_seq = max((r.seq for r in records), default=0) + 1
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     def load(self) -> tuple[list[JournalRecord], int]:
-        """All intact records plus the count of torn/corrupt lines."""
+        """All intact records plus the count of torn/corrupt lines.
+
+        Raises :class:`~repro.errors.DataError` when the file is not
+        UTF-8 text at all (a checksum catches damage inside a line; an
+        undecodable byte means the file itself is not a journal).
+        """
         try:
-            text = self.path.read_text(encoding="utf-8")
+            raw = self.path.read_bytes()
         except FileNotFoundError:
             return [], 0
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{self.path} is not UTF-8 text: {exc}") from exc
         records: list[JournalRecord] = []
         torn = 0
         for line in text.splitlines():

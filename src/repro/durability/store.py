@@ -158,7 +158,16 @@ class DurableStore:
         warehouse never rewrites it.
         """
         report = RecoveryReport()
-        records, report.torn_journal_lines = self.journal.load()
+        try:
+            records, report.torn_journal_lines = self.journal.load()
+        except DataError as exc:
+            # Undecodable bytes: no line of the journal can be trusted.
+            # Preserve it for inspection and recover from the manifest,
+            # entries and chain files, which are each written atomically.
+            records = []
+            if apply:
+                self._quarantine_file(self.journal.path, str(exc))
+            report.quarantined.append((JOURNAL_NAME, str(exc)))
         committed = {r.seq for r in records if r.phase == "commit"}
         pending = [
             r
@@ -276,13 +285,13 @@ class DurableStore:
     ) -> tuple[dict[str, LineageLink], str | None]:
         """(lineage, damage-reason). Damage yields an empty registry."""
         try:
-            text = self.manifest_path.read_text(encoding="utf-8")
+            raw = self.manifest_path.read_bytes()
         except FileNotFoundError:
             return {}, None
         except OSError as exc:
             return {}, f"cannot read manifest: {exc}"
         try:
-            data = json.loads(text)
+            data = json.loads(raw.decode("utf-8"))
             if data.get("format") != MANIFEST_FORMAT_VERSION:
                 return {}, f"unsupported manifest format {data.get('format')!r}"
             lineage: dict[str, LineageLink] = {}

@@ -19,7 +19,7 @@ front of it:
   :class:`~repro.gateway.stats.GatewayStats`, never silent.
 * **Cross-request batching** — at dispatch, every queued request
   compatible with the dequeued leader (same database fingerprint,
-  algorithm, strategy, backend, jobs) joins one
+  strategy, backend, jobs) joins one
   :class:`~repro.gateway.batching.BatchPlan`: mine once at the group's
   minimum support, serve each member exactly via ``filter_min_support``.
 * **Per-tenant fairness** — weighted deficit-round-robin dequeue inside
@@ -68,7 +68,6 @@ from repro.gateway.request import (
     GatewayResponse,
 )
 from repro.gateway.stats import GatewayStats
-from repro.mining.registry import has_miner
 from repro.resilience import (
     REASON_DEADLINE_EXPIRED,
     REASON_GATEWAY_CLOSED,
@@ -203,15 +202,11 @@ class MiningGateway:
         Admission control runs here, synchronously: a rejected or
         shedding arrival resolves (its own or the victim's) future
         immediately with a structured non-served response. Validation
-        errors (unknown algorithm, closed gateway) raise — they are
-        caller bugs, not traffic.
+        errors (``jobs < 1``, closed gateway) raise — they are caller
+        bugs, not traffic.
         """
         gateway_request = self._wrap(request)
         mine_request = gateway_request.request
-        if mine_request.algorithm != "naive" and not has_miner(
-            mine_request.algorithm, kind="baseline"
-        ):
-            raise GatewayError(f"unknown algorithm {mine_request.algorithm!r}")
         if mine_request.jobs < 1:
             raise GatewayError(f"jobs must be >= 1, got {mine_request.jobs}")
         future: "Future[GatewayResponse]" = Future()

@@ -86,7 +86,7 @@ class GatewayRequest:
     def tenant(self) -> str:
         return self.request.tenant
 
-    def batch_key(self) -> tuple[str, str, str, str, int]:
+    def batch_key(self) -> tuple[str, str, str, int]:
         """The cross-request batching compatibility key.
 
         Two requests are *compatible* — one shared mine can serve both
@@ -95,7 +95,7 @@ class GatewayRequest:
         :class:`~repro.data.versioned.VersionedDatabase`, the bare
         database fingerprint otherwise — two versions of one tenant's
         evolving database never share a batch) with
-        the same algorithm, strategy, backend and jobs. Support is
+        the same strategy, backend and jobs. Support is
         deliberately absent: the batch mines once at the group's minimum
         absolute support and serves every member by
         ``filter_min_support``, which is exact because the full frequent
@@ -106,7 +106,6 @@ class GatewayRequest:
         """
         return (
             self.request.version_fingerprint(),
-            self.request.algorithm,
             self.request.strategy,
             self.request.backend,
             self.request.jobs,

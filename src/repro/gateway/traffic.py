@@ -104,7 +104,6 @@ def synthesize_traffic(
     db: TransactionDatabase,
     supports: "list[int]",
     config: TrafficConfig | None = None,
-    algorithm: str = "hmine",
     strategy: str = "mcp",
     backend: str = "bitset",
 ) -> "list[tuple[float, GatewayRequest]]":
@@ -154,7 +153,6 @@ def synthesize_traffic(
                 db=db,
                 support=support,
                 tenant=session_tenant,
-                algorithm=algorithm,
                 strategy=strategy,
                 backend=backend,
                 jobs=cfg.jobs,

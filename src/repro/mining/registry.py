@@ -1,8 +1,7 @@
 """The capability-aware miner registry: one dispatch surface for all miners.
 
-The seed dispatched through two disjoint ad-hoc dicts (``BASELINE_MINERS``
-and ``RECYCLING_MINERS``). This module replaces both with a single
-:data:`MINERS` registry of :class:`MinerSpec` entries. A spec records
+One :data:`MINERS` registry of :class:`MinerSpec` entries holds every
+miner of the paper and its baselines. A spec records
 everything a driver needs to pick a miner:
 
 ``name``
@@ -34,9 +33,12 @@ everything a driver needs to pick a miner:
     (Section 3.3 / Figures 21-24).
 
 Registration is idempotent per ``(kind, name)`` and open: downstream code
-registers a new miner with :func:`register` and every driver — CLI,
-:class:`MiningSession`, ``recycle_mine``, the benchmark harness — picks
-it up without further wiring.
+registers a new miner with :func:`register` and every driver — the CLI,
+``recycle_mine``, ``incremental_mine``, the benchmark harness — picks it
+up without further wiring. The serving stack (planner, sharded engine,
+session, service, gateway) looks up no miner: it runs the grouped kernel
+of :mod:`repro.storage.projection` directly, so the registry is the
+reproduction surface behind the paper's figures.
 
 The built-in miners live in :mod:`repro.mining` and :mod:`repro.core`;
 to avoid import cycles they are registered lazily on first lookup
@@ -170,36 +172,6 @@ class _Registry(Mapping[tuple[str, str], MinerSpec]):
 
 #: The single registry every dispatch surface resolves through.
 MINERS = _Registry()
-
-
-class MinerView(Mapping[str, MinerFn]):
-    """Deprecated name->fn view over one kind, for the legacy dict API.
-
-    ``BASELINE_MINERS`` and ``RECYCLING_MINERS`` are instances; they stay
-    importable and dict-like but read through the live registry. New code
-    should use :func:`get_miner` / :func:`iter_miners`.
-    """
-
-    def __init__(self, kind: str) -> None:
-        if kind not in KINDS:
-            raise MiningError(f"unknown miner kind {kind!r} (known: {KINDS})")
-        self._kind = kind
-
-    def __getitem__(self, name: str) -> MinerFn:
-        _bootstrap()
-        spec = _MINERS.get((self._kind, name))
-        if spec is None:
-            raise KeyError(name)
-        return spec.fn
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(miner_names(self._kind))
-
-    def __len__(self) -> int:
-        return len(miner_names(self._kind))
-
-    def __repr__(self) -> str:
-        return f"MinerView({self._kind}: {', '.join(miner_names(self._kind))})"
 
 
 def mine_with_budget(

@@ -15,8 +15,11 @@ The subsystem in three modules, one per pass boundary:
 
 The engine sits above :mod:`repro.core` (it drives the planner
 trichotomy inside workers) and below :mod:`repro.service` (which fans
-heavy requests out through it); ``recycle_mine(..., jobs=N)`` and the
-CLI ``--jobs`` flag are the front doors.
+heavy requests out through it). Every shard, and the serial fallback,
+mines with the grouped kernel
+(:func:`~repro.storage.projection.mine_grouped`). The front doors are
+``execute_plan(..., jobs=N)``, ``MiningSession(jobs=N)``, a request's
+``jobs`` field and ``repro serve-batch --jobs``.
 """
 
 from repro.parallel.executor import (
@@ -24,8 +27,6 @@ from repro.parallel.executor import (
     ParallelOutcome,
     ShardOutcome,
     ShardTask,
-    parallel_mine,
-    parallel_recycle_mine,
     run_shard_task,
 )
 from repro.parallel.merge import (
@@ -53,8 +54,6 @@ __all__ = [
     "ShardTask",
     "count_pattern_support",
     "merge_shard_patterns",
-    "parallel_mine",
-    "parallel_recycle_mine",
     "run_shard_task",
     "scale_local_support",
     "tight_candidate_bound",

@@ -18,9 +18,10 @@ arrives with warehouse feedstock (sliced per shard fingerprint by the
 service) runs :func:`~repro.core.planner.plan_support_path` /
 ``execute_plan`` — filter, recycle or mine, whichever is cheapest and
 sound *for that shard* — while a shard without feedstock mines its slice
-of the grouped database directly with the chosen recycling miner (the
-groups were compressed once, globally) or a baseline miner when there was
-nothing to recycle.
+of the grouped database directly with the grouped kernel
+(:func:`~repro.storage.projection.mine_grouped`). The groups were
+compressed once, globally; a scratch mine is the same case with one
+residual group, so one code path serves both.
 
 Failure is not an error, and it is handled *per shard* before it is
 handled per run: a crashed or timed-out shard is retried individually
@@ -42,7 +43,6 @@ on the engine to exercise exactly these paths (``shard.crash``,
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import pickle
 import time
 from concurrent.futures import ALL_COMPLETED, ProcessPoolExecutor, wait
@@ -57,15 +57,12 @@ from repro.core.planner import (
     PATH_RECYCLE,
     execute_plan,
     plan_support_path,
-    resolve_baseline_algorithm,
-    resolve_recycling_algorithm,
 )
 from repro.data.io import canonical_pattern_rows
 from repro.data.patterns import NDI_RULE_DEPTH, CondensedPatternSet, PatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.errors import ParallelError, ReproError
 from repro.metrics.counters import CostCounters
-from repro.mining.registry import get_miner
 from repro.parallel.merge import MergeResult, merge_shard_patterns
 from repro.parallel.sharding import Shard, ShardPlanner
 from repro.resilience import (
@@ -122,23 +119,19 @@ def counters_from_dict(values: dict[str, int]) -> CostCounters:
 class ShardTask:
     """Everything one worker needs, in pickle-friendly form.
 
-    Exactly one of three modes applies, mirroring the planner trichotomy:
     ``feedstock`` present → the worker runs the full filter/recycle/mine
-    plan against its shard database; ``scratch`` → baseline mining (the
-    global run had nothing to recycle); otherwise the shard groups *are*
-    the compressed database and the recycling miner consumes them
-    directly. ``fail`` makes the worker raise (a crash, injected by the
-    ``shard.crash`` fault point or the legacy ``failure_injection``
-    hook); ``delay_seconds`` makes it sleep first (a straggler, injected
-    by ``shard.slow``).
+    plan against its shard database; otherwise the shard groups *are* the
+    compressed database (one residual group for a scratch mine) and the
+    grouped kernel mines them directly. ``fail`` makes the worker raise
+    (a crash, injected by the ``shard.crash`` fault point);
+    ``delay_seconds`` makes it sleep first (a straggler, injected by
+    ``shard.slow``).
     """
 
     shard: Shard
     local_support: int
-    algorithm: str = "hmine"
     strategy: str = "mcp"
     backend: str = "bitset"
-    single_group_shortcut: bool = True
     feedstock: PatternRows | None = None
     feedstock_support: int | None = None
     #: Representation of the feedstock rows: ``full`` means they are the
@@ -149,7 +142,6 @@ class ShardTask:
     feedstock_repr: str = "full"
     feedstock_n: int | None = None
     feedstock_ndi_depth: int = NDI_RULE_DEPTH
-    scratch: bool = False
     fail: bool = False
     delay_seconds: float = 0.0
 
@@ -162,9 +154,7 @@ def run_shard_task(task: ShardTask) -> dict[str, object]:
     executor the property tests use.
     """
     if task.fail:
-        raise ParallelError(
-            f"injected failure in shard {task.shard.index} (test hook)"
-        )
+        raise ParallelError(f"injected failure in shard {task.shard.index}")
     counters = CostCounters()
     started = time.perf_counter()
     if task.delay_seconds > 0:
@@ -190,31 +180,17 @@ def run_shard_task(task: ShardTask) -> dict[str, object]:
             plan,
             shard.database(),
             task.local_support,
-            algorithm=task.algorithm,
             strategy=task.strategy,
             counters=counters,
             backend=task.backend,
         )
         path = plan.path
-    elif task.scratch:
-        name = resolve_baseline_algorithm(task.algorithm)
-        patterns = get_miner(name, kind="baseline").mine(
-            shard.database(), task.local_support, counters
-        )
-        path = PATH_MINE
     else:
-        spec = get_miner(
-            resolve_recycling_algorithm(task.algorithm), kind="recycling"
+        from repro.storage.projection import mine_grouped
+
+        patterns = mine_grouped(
+            shard.grouped(), task.local_support, counters, backend=task.backend
         )
-        kwargs: dict[str, object] = {}
-        accepted = inspect.signature(spec.fn).parameters
-        if "single_group_shortcut" in accepted:
-            kwargs["single_group_shortcut"] = task.single_group_shortcut
-        if "backend" in accepted:
-            kwargs["backend"] = (
-                task.backend if task.backend in ("python", "bitset") else None
-            )
-        patterns = spec.fn(shard.grouped(), task.local_support, counters, **kwargs)
         path = PATH_RECYCLE
     elapsed = time.perf_counter() - started
     return {
@@ -324,9 +300,6 @@ class ParallelEngine:
         evaluates ``shard.crash`` and ``shard.slow`` once per shard
         *attempt* (so an ``on_calls=(1,)`` crash is healed by the first
         retry) and fires ``merge.count`` once per merge pass.
-    failure_injection:
-        Legacy hook: shard indices whose tasks always raise inside the
-        worker (unconditional, unlike the injector's scheduled faults).
     """
 
     def __init__(
@@ -339,7 +312,6 @@ class ParallelEngine:
         on_shard_result: ShardResultFn | None = None,
         retry_policy: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
-        failure_injection: Iterable[int] = (),
     ) -> None:
         if jobs < 1:
             raise ParallelError(f"jobs must be >= 1, got {jobs}")
@@ -354,7 +326,6 @@ class ParallelEngine:
         self.on_shard_result = on_shard_result
         self.retry_policy = retry_policy or RetryPolicy()
         self.faults = fault_injector
-        self.failure_injection = frozenset(failure_injection)
 
     # ------------------------------------------------------------------
     # public entry points
@@ -362,13 +333,11 @@ class ParallelEngine:
     def recycle_mine(
         self,
         db: TransactionDatabase,
-        old_patterns: PatternSet,
+        old_patterns: PatternSet | CondensedPatternSet,
         min_support: int,
-        algorithm: str = "hmine",
         strategy: str = "mcp",
         counters: CostCounters | None = None,
         backend: str = "bitset",
-        single_group_shortcut: bool = True,
     ) -> ParallelOutcome:
         """Parallel Phase 2: compress once, mine shards, merge exactly."""
         started = time.perf_counter()
@@ -380,35 +349,22 @@ class ParallelEngine:
         compression = compress(
             db, old_patterns, strategy, counters, backend=backend
         )
-        phase1 = time.perf_counter() - started
-
-        def serial() -> PatternSet:
-            spec = get_miner(
-                resolve_recycling_algorithm(algorithm), kind="recycling"
-            )
-            return spec.mine(compression.compressed, min_support, counters)
-
         return self._run(
             grouped=compression.compressed,
             min_support=min_support,
-            algorithm=algorithm,
             strategy=strategy,
             backend=backend,
-            single_group_shortcut=single_group_shortcut,
-            scratch=False,
             counters=counters,
-            serial=serial,
             path=PATH_RECYCLE,
             compression=compression,
             started=started,
-            phase1_seconds=phase1,
+            phase1_seconds=time.perf_counter() - started,
         )
 
     def mine(
         self,
         db: TransactionDatabase,
         min_support: int,
-        algorithm: str = "hmine",
         strategy: str = "mcp",
         counters: CostCounters | None = None,
         backend: str = "bitset",
@@ -416,23 +372,12 @@ class ParallelEngine:
         """Parallel from-scratch mining (no feedstock, one residual group)."""
         started = time.perf_counter()
         grouped = GroupedDatabase.from_database(db)
-
-        def serial() -> PatternSet:
-            name = resolve_baseline_algorithm(algorithm)
-            return get_miner(name, kind="baseline").mine(
-                db, min_support, counters
-            )
-
         return self._run(
             grouped=grouped,
             min_support=min_support,
-            algorithm=algorithm,
             strategy=strategy,
             backend=backend,
-            single_group_shortcut=True,
-            scratch=True,
             counters=counters,
-            serial=serial,
             path=PATH_MINE,
             compression=None,
             started=started,
@@ -447,18 +392,19 @@ class ParallelEngine:
         *,
         grouped: GroupedDatabase,
         min_support: int,
-        algorithm: str,
         strategy: str,
         backend: str,
-        single_group_shortcut: bool,
-        scratch: bool,
         counters: CostCounters | None,
-        serial: Callable[[], PatternSet],
         path: str,
         compression: CompressionResult | None,
         started: float,
         phase1_seconds: float,
     ) -> ParallelOutcome:
+        def serial() -> PatternSet:
+            from repro.storage.projection import mine_grouped
+
+            return mine_grouped(grouped, min_support, counters, backend=backend)
+
         total = grouped.tuple_count()
         plan = None
         if self.jobs > 1 and total >= max(2, self.jobs):
@@ -500,16 +446,13 @@ class ParallelEngine:
                 ShardTask(
                     shard=shard,
                     local_support=local,
-                    algorithm=algorithm,
                     strategy=strategy,
                     backend=backend,
-                    single_group_shortcut=single_group_shortcut,
                     feedstock=feedstock_rows,
                     feedstock_support=feedstock_support,
                     feedstock_repr=feedstock_repr,
                     feedstock_n=feedstock_n,
                     feedstock_ndi_depth=feedstock_ndi_depth,
-                    scratch=scratch,
                 )
             )
 
@@ -670,11 +613,10 @@ class ParallelEngine:
         ``on_calls=(1,)`` fails the first attempt and heals on retry —
         the transient-crash scenario the retry path exists for.
         """
-        fail = task.shard.index in self.failure_injection
+        fail = False
         delay = 0.0
         if self.faults is not None:
-            if self.faults.evaluate(SHARD_CRASH) is not None:
-                fail = True
+            fail = self.faults.evaluate(SHARD_CRASH) is not None
             slow = self.faults.evaluate(SHARD_SLOW)
             if slow is not None:
                 delay = slow.delay_seconds
@@ -830,34 +772,3 @@ class ParallelEngine:
             )
         if delay > 0:
             time.sleep(delay)
-
-
-def parallel_recycle_mine(
-    db: TransactionDatabase,
-    old_patterns: PatternSet,
-    min_support: int,
-    jobs: int,
-    algorithm: str = "hmine",
-    strategy: str = "mcp",
-    counters: CostCounters | None = None,
-    backend: str = "bitset",
-    **engine_kwargs: object,
-) -> PatternSet:
-    """One-call parallel recycling; see :class:`ParallelEngine`."""
-    engine = ParallelEngine(jobs, **engine_kwargs)  # type: ignore[arg-type]
-    return engine.recycle_mine(
-        db, old_patterns, min_support, algorithm, strategy, counters, backend
-    ).patterns
-
-
-def parallel_mine(
-    db: TransactionDatabase,
-    min_support: int,
-    jobs: int,
-    algorithm: str = "hmine",
-    counters: CostCounters | None = None,
-    **engine_kwargs: object,
-) -> PatternSet:
-    """One-call parallel from-scratch mining; see :class:`ParallelEngine`."""
-    engine = ParallelEngine(jobs, **engine_kwargs)  # type: ignore[arg-type]
-    return engine.mine(db, min_support, algorithm, counters=counters).patterns

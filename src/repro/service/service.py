@@ -8,12 +8,13 @@ with the same :mod:`repro.core.planner` decision the interactive
 session uses — filter a cached superset, recycle a cached subset,
 *update*-patch a chain ancestor's entry across a database delta, or
 mine from scratch — so the service never re-derives what the warehouse
-already paid for.
+already paid for. Every path that mines runs the one grouped kernel
+(:func:`~repro.storage.projection.mine_grouped`), serially or sharded.
 
 Three service-level mechanisms ride on top:
 
 * **Single-flight coalescing.** Identical requests (same database
-  fingerprint, absolute support, algorithm, strategy and backend) that are in
+  fingerprint, absolute support, strategy, backend and jobs) that are in
   flight at the same time share one underlying computation; followers
   attach to the leader's future instead of mining again. De-duplication
   happens at submit time in the caller's thread, so even requests that
@@ -48,6 +49,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.planner import (
     PATH_FILTER,
@@ -58,6 +60,7 @@ from repro.core.planner import (
     execute_plan,
     plan_support_path,
     plan_update_path,
+    run_guarded_parallel,
 )
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
@@ -66,9 +69,7 @@ from repro.errors import ReproError
 from repro.metrics.counters import CostCounters
 from repro.metrics.reservoir import LatencyReservoir
 from repro.mining.patterns import PatternSet
-from repro.mining.registry import has_miner
 from repro.resilience import (
-    REASON_CIRCUIT_OPEN,
     REASON_FEEDSTOCK_QUARANTINED,
     REASON_WAREHOUSE_READ_FAILED,
     REASON_WRITE_FAILED,
@@ -77,6 +78,9 @@ from repro.resilience import (
     ResilienceConfig,
 )
 from repro.service.warehouse import PatternWarehouse
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.parallel import ParallelOutcome
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,6 @@ class MineRequest:
     db: TransactionDatabase
     support: float | int
     tenant: str = "anonymous"
-    algorithm: str = "hmine"
     strategy: str = "mcp"
     backend: str = "bitset"
     jobs: int = 1
@@ -422,7 +425,7 @@ class MiningService:
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-mining"
         )
-        self._inflight: dict[tuple[str, int, str, str, str, int], Future] = {}
+        self._inflight: dict[tuple[str, int, str, str, int], Future] = {}
         self._inflight_lock = threading.Lock()
         self._closed = False
 
@@ -438,10 +441,6 @@ class MiningService:
         """
         if self._closed:
             raise ReproError("service is closed")
-        if request.algorithm != "naive" and not has_miner(
-            request.algorithm, kind="baseline"
-        ):
-            raise ReproError(f"unknown algorithm {request.algorithm!r}")
         if request.jobs < 1:
             raise ReproError(f"jobs must be >= 1, got {request.jobs}")
         if request.version is not None:
@@ -457,7 +456,6 @@ class MiningService:
         key = (
             request.db.fingerprint(),
             absolute,
-            request.algorithm,
             request.strategy,
             request.backend,
             request.jobs,
@@ -575,7 +573,7 @@ class MiningService:
     # ------------------------------------------------------------------
     def _run_leader(
         self,
-        key: tuple[str, int, str, str, str, int],
+        key: tuple[str, int, str, str, int],
         request: MineRequest,
         absolute: int,
         leader: "Future[_Computation]",
@@ -657,55 +655,32 @@ class MiningService:
                 hit.feedstock if hit is not None else None,
                 hit.absolute_support if hit is not None else None,
             )
-        jobs = 1
-        parallel_fallback = False
-        if plan.path == PATH_UPDATE:
-            # The update path runs through execute_plan whole: FUP is
-            # inherently serial, and the recycle-mode patch threads
-            # jobs/resilience into its own engine. Any mid-patch failure
-            # degrades to a scratch mine inside execute_plan.
-            patterns = execute_plan(
-                plan,
-                request.db,
-                absolute,
-                algorithm=request.algorithm,
-                strategy=request.strategy,
-                counters=counters,
-                backend=request.backend,
-                jobs=request.jobs,
-                resilience=self.resilience,
-                degradation=degradation,
+        outcome = None
+        if request.jobs > 1 and plan.path in (PATH_MINE, PATH_RECYCLE):
+            outcome = run_guarded_parallel(
+                self.breaker,
+                lambda: self._compute_parallel(request, absolute, plan, counters),
+                counters,
+                degradation,
             )
-        elif request.jobs > 1 and plan.path != PATH_FILTER:
-            if not self.breaker.allow():
-                degradation.record("parallel", "serial", REASON_CIRCUIT_OPEN)
-                counters.add("parallel_circuit_skips")
-                patterns = execute_plan(
-                    plan,
-                    request.db,
-                    absolute,
-                    algorithm=request.algorithm,
-                    strategy=request.strategy,
-                    counters=counters,
-                    backend=request.backend,
-                )
-            else:
-                jobs, parallel_fallback, patterns = self._compute_parallel(
-                    request, absolute, plan, counters, degradation
-                )
-                if parallel_fallback:
-                    self.breaker.record_failure()
-                else:
-                    self.breaker.record_success()
+        if outcome is not None:
+            patterns = outcome.patterns
         else:
+            # Serial requests, an open breaker, and the whole update
+            # path: FUP is inherently serial, and the recycle-mode patch
+            # threads jobs/resilience into its own engine. Any mid-patch
+            # failure degrades to a scratch mine inside execute_plan.
+            update = plan.path == PATH_UPDATE
             patterns = execute_plan(
                 plan,
                 request.db,
                 absolute,
-                algorithm=request.algorithm,
                 strategy=request.strategy,
                 counters=counters,
                 backend=request.backend,
+                jobs=request.jobs if update else 1,
+                resilience=self.resilience if update else None,
+                degradation=degradation,
             )
         if self.warehouse is not None and plan.path != PATH_FILTER:
             # Filter results are cheap derivations of an existing entry;
@@ -725,8 +700,8 @@ class MiningService:
             patterns=patterns,
             counters=counters,
             elapsed_seconds=elapsed,
-            jobs=jobs,
-            parallel_fallback=parallel_fallback,
+            jobs=outcome.jobs if outcome is not None else 1,
+            parallel_fallback=outcome is not None and outcome.fallback,
             degradation=degradation,
             update_mode=plan.update_mode,
             feedstock_distance=plan.distance,
@@ -774,10 +749,9 @@ class MiningService:
         self,
         request: MineRequest,
         absolute: int,
-        plan,
+        plan: MiningPlan,
         counters: CostCounters,
-        degradation: DegradationReport,
-    ) -> tuple[int, bool, PatternSet]:
+    ) -> "ParallelOutcome":
         """Fan a heavy request out through the sharded engine.
 
         The warehouse rides along per shard: each worker's feedstock is
@@ -785,7 +759,6 @@ class MiningService:
         result is banked coming back — one tenant's heavy request warms
         the shards for everyone else's.
         """
-        from repro.core.planner import PATH_RECYCLE
         from repro.parallel import ParallelEngine
 
         shard_feedstock = None
@@ -823,23 +796,18 @@ class MiningService:
                 fault_injector=self.resilience.faults,
             )
         if plan.path == PATH_RECYCLE:
-            outcome = engine.recycle_mine(
+            return engine.recycle_mine(
                 request.db,
                 plan.feedstock,
                 absolute,
-                algorithm=request.algorithm,
                 strategy=request.strategy,
                 counters=counters,
                 backend=request.backend,
             )
-        else:
-            outcome = engine.mine(
-                request.db,
-                absolute,
-                algorithm=request.algorithm,
-                strategy=request.strategy,
-                counters=counters,
-                backend=request.backend,
-            )
-        degradation.extend(outcome.degradation)
-        return outcome.jobs, outcome.fallback, outcome.patterns
+        return engine.mine(
+            request.db,
+            absolute,
+            strategy=request.strategy,
+            counters=counters,
+            backend=request.backend,
+        )

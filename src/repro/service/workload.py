@@ -8,7 +8,6 @@ reproduced from a plain text artifact::
     {
       "dataset": "weather",
       "seed": 0,
-      "algorithm": "hmine",
       "strategy": "mcp",
       "requests": [
         {"tenant": "alice", "support": 0.05},
@@ -18,8 +17,10 @@ reproduced from a plain text artifact::
     }
 
 Top-level keys are defaults; each request may override ``dataset``,
-``seed``, ``algorithm``, ``strategy`` and ``jobs`` (worker processes for
-the sharded engine). Databases are resolved through
+``seed``, ``strategy`` and ``jobs`` (worker processes for the sharded
+engine). Any other key — at the top level or in a request — is refused
+with a :class:`~repro.errors.DataError` naming it, never silently
+dropped. Databases are resolved through
 the built-in dataset catalog and materialized once per (dataset, seed),
 so every request for the same dataset shares one
 :class:`TransactionDatabase` object (and therefore one fingerprint and
@@ -49,6 +50,15 @@ from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.errors import DataError
 from repro.service.service import MineRequest, MineResponse, MiningService
 
+#: Keys a workload may set at the top level (request defaults + the list).
+TOP_LEVEL_KEYS = frozenset({"dataset", "seed", "strategy", "jobs", "requests"})
+#: Keys each entry kind may carry: a mining request, or a database op.
+REQUEST_KEYS = frozenset({"dataset", "seed", "strategy", "jobs", "tenant", "support"})
+OP_KEYS = {
+    "append": frozenset({"op", "dataset", "seed", "transactions"}),
+    "delete": frozenset({"op", "dataset", "seed", "tids"}),
+}
+
 
 @dataclass(frozen=True)
 class DeltaOp:
@@ -70,6 +80,7 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
     """Build the interleaved request/operation list from a workload dict."""
     if not isinstance(spec, dict):
         raise DataError(f"workload must be a JSON object, got {type(spec).__name__}")
+    _refuse_unknown_keys(spec, TOP_LEVEL_KEYS, "workload")
     raw_requests = spec.get("requests")
     if not isinstance(raw_requests, list) or not raw_requests:
         raise DataError("workload needs a non-empty 'requests' list")
@@ -95,6 +106,10 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
         dataset = str(dataset)
         seed = int(entry.get("seed", spec.get("seed", 0)))
         op = entry.get("op")
+        if op is None:
+            _refuse_unknown_keys(entry, REQUEST_KEYS, f"request #{index}")
+        elif isinstance(op, str) and op in OP_KEYS:  # _parse_op refuses the rest
+            _refuse_unknown_keys(entry, OP_KEYS[op], f"request #{index}")
         if op is not None:
             items.append(_parse_op(index, entry, op, dataset, seed,
                                    resolve_version, versions))
@@ -113,13 +128,21 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
                 # library-wide support convention).
                 support=support,
                 tenant=str(entry.get("tenant", f"user-{index}")),
-                algorithm=str(entry.get("algorithm", spec.get("algorithm", "hmine"))),
                 strategy=str(entry.get("strategy", spec.get("strategy", "mcp"))),
                 jobs=int(entry.get("jobs", spec.get("jobs", 1))),
                 version=version,
             )
         )
     return items
+
+
+def _refuse_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:
+    unknown = sorted(str(key) for key in entry if key not in allowed)
+    if unknown:
+        raise DataError(
+            f"{where}: unknown key {unknown[0]!r} "
+            f"(allowed: {', '.join(sorted(allowed))})"
+        )
 
 
 def _parse_op(

@@ -9,10 +9,37 @@ projected-database patterns — against the numbers printed in the paper.
 
 from __future__ import annotations
 
+import faulthandler
+
 import pytest
 
 from repro.data.transactions import TransactionDatabase
 from repro.mining.patterns import PatternSet
+
+try:
+    import pytest_timeout
+except ImportError:  # the plugin is optional; keep the ceiling anyway
+    pytest_timeout = None
+
+#: Per-test ceiling when pytest-timeout is absent: the ``timeout`` value
+#: in pyproject.toml, which the plugin would otherwise enforce.
+FALLBACK_TIMEOUT_SECONDS = 300.0
+
+if pytest_timeout is None:
+
+    def pytest_addoption(parser: pytest.Parser) -> None:
+        # Claim the plugin's ini key, so its value is readable here.
+        parser.addini("timeout", "per-test timeout in seconds", default=None)
+
+    @pytest.hookimpl(hookwrapper=True)
+    def pytest_runtest_protocol(item, nextitem):
+        """Dump every thread's stack and exit if one test hangs."""
+        seconds = float(item.config.getini("timeout") or FALLBACK_TIMEOUT_SECONDS)
+        faulthandler.dump_traceback_later(seconds, exit=True)
+        try:
+            yield
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 # Item encoding for the paper's example: letters -> ints.
 A, B, C, D, E, F, G, H, I = 1, 2, 3, 4, 5, 6, 7, 8, 9

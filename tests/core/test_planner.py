@@ -10,8 +10,6 @@ from repro.core.planner import (
     PATH_RECYCLE,
     execute_plan,
     plan_support_path,
-    resolve_baseline_algorithm,
-    resolve_recycling_algorithm,
 )
 from repro.data.synthetic import QuestParams, quest_database
 from repro.mining.hmine import mine_hmine
@@ -66,22 +64,13 @@ class TestExecution:
         result = execute_plan(plan, db, new_support)
         assert result == mine_hmine(db, new_support)
 
-    def test_mine_path_honors_algorithm(self, db):
-        plan = plan_support_path(6, None, None)
-        result = execute_plan(plan, db, 6, algorithm="eclat")
-        assert result == mine_hmine(db, 6)
-
-
-class TestAlgorithmResolution:
-    def test_naive_initializes_with_hmine(self):
-        assert resolve_baseline_algorithm("naive") == "hmine"
-        assert resolve_baseline_algorithm("fpgrowth") == "fpgrowth"
-
-    def test_exact_recycling_match(self):
-        assert resolve_recycling_algorithm("hmine") == "hmine"
-
-    def test_backend_suffix_falls_back_to_base(self):
-        assert resolve_recycling_algorithm("eclat-bitset") == "eclat"
-
-    def test_unknown_falls_back_to_hmine(self):
-        assert resolve_recycling_algorithm("apriori") == "hmine"
+    @pytest.mark.parametrize("backend", ["bitset", "python"])
+    @pytest.mark.parametrize("new_support", [4, 15])
+    def test_mine_and_recycle_paths_honor_backend(self, db, backend, new_support):
+        feedstock = mine_hmine(db, 8)
+        for plan in (
+            plan_support_path(new_support, None, None),
+            plan_support_path(new_support, feedstock, 8),
+        ):
+            result = execute_plan(plan, db, new_support, backend=backend)
+            assert result == mine_hmine(db, new_support)

@@ -4,16 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.recycle import (
-    RECYCLING_MINERS,
-    get_recycling_miner,
-    recycle_mine,
-    recycle_mine_detailed,
-)
+from repro.core.recycle import recycle_mine, recycle_mine_detailed
 from repro.errors import RecycleError
 from repro.metrics.counters import CostCounters
 from repro.mining.apriori import mine_apriori
 from repro.mining.patterns import PatternSet
+from repro.mining.registry import miner_names
 
 
 class TestRecycleMine:
@@ -21,7 +17,7 @@ class TestRecycleMine:
         result = recycle_mine(paper_db, paper_old_patterns, 2)
         assert result == mine_apriori(paper_db, 2)
 
-    @pytest.mark.parametrize("algorithm", sorted(RECYCLING_MINERS))
+    @pytest.mark.parametrize("algorithm", miner_names("recycling"))
     def test_every_algorithm(self, paper_db, paper_old_patterns, algorithm):
         result = recycle_mine(paper_db, paper_old_patterns, 2, algorithm=algorithm)
         assert result == mine_apriori(paper_db, 2)
@@ -42,9 +38,9 @@ class TestRecycleMine:
         with pytest.raises(RecycleError, match="no patterns to recycle"):
             recycle_mine(paper_db, PatternSet(), 2)
 
-    def test_unknown_algorithm_rejected(self):
+    def test_unknown_algorithm_rejected(self, paper_db, paper_old_patterns):
         with pytest.raises(RecycleError, match="unknown recycling algorithm"):
-            get_recycling_miner("quantum")
+            recycle_mine(paper_db, paper_old_patterns, 2, algorithm="quantum")
 
     def test_strategy_object_accepted(self, paper_db, paper_old_patterns):
         from repro.core.utility import MLP

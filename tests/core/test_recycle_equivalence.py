@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.core.compression import compress
 from repro.core.naive import mine_rp
-from repro.core.recycle import RECYCLING_MINERS
 from repro.core.recycle_fptree import mine_recycle_fptree
 from repro.core.recycle_hmine import mine_recycle_hmine
 from repro.core.recycle_treeprojection import mine_recycle_treeprojection
@@ -24,7 +23,9 @@ from repro.data.synthetic import QuestParams, quest_database, random_database
 from repro.data.transactions import TransactionDatabase
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
+from repro.mining.registry import iter_miners
 
+RECYCLING_MINERS = {spec.name: spec.fn for spec in iter_miners("recycling")}
 ALL_RECYCLERS = sorted(RECYCLING_MINERS)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.constraints.engine import ConstraintSet
 from repro.constraints.support import MaxLength, MinSupport
+from repro.core.recycle import recycle_mine
 from repro.core.session import MiningSession
 from repro.data.synthetic import quest_database, QuestParams
 from repro.errors import RecycleError
@@ -71,15 +72,21 @@ class TestAlgorithms:
     @pytest.mark.parametrize("algorithm", ["naive", "hmine", "fpgrowth", "treeprojection", "eclat"])
     @pytest.mark.parametrize("strategy", ["mcp", "mlp"])
     def test_all_combinations_exact(self, db, algorithm, strategy):
-        session = MiningSession(db, algorithm=algorithm, strategy=strategy)
+        """The session's kernel recycle agrees with every paper recycling
+        miner under every strategy, and with a scratch mine."""
+        session = MiningSession(db, strategy=strategy)
         session.mine(12)
         result = session.mine(5)
         assert session.history[-1].path == "recycle"
         assert result == mine_hmine(db, 5)
+        assert result == recycle_mine(
+            db, mine_hmine(db, 12), 5, algorithm=algorithm, strategy=strategy
+        )
 
     def test_unknown_algorithm_rejected(self, db):
-        with pytest.raises(RecycleError, match="unknown algorithm"):
-            MiningSession(db, algorithm="magic")
+        """The session runs one kernel; there is no miner to choose."""
+        with pytest.raises(TypeError, match="algorithm"):
+            MiningSession(db, algorithm="hmine")
 
 
 class TestMultiUser:

@@ -7,22 +7,32 @@ from hypothesis import strategies as st
 
 from repro.core.session import MiningSession
 from repro.data.synthetic import random_database
-from repro.mining.hmine import mine_hmine
+from repro.mining.eclat import mine_eclat_bitset
 
 _DB = random_database(n_transactions=60, n_items=12, max_transaction_length=8, seed=7)
 
 
 @given(
     supports=st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=6),
-    algorithm=st.sampled_from(["naive", "hmine", "fpgrowth", "treeprojection", "eclat"]),
+    strategy=st.sampled_from(["mcp", "mlp"]),
+    backend=st.sampled_from(["bitset", "python"]),
+    jobs=st.sampled_from([1, 2]),
+    representation=st.sampled_from(["full", "closed", "ndi"]),
 )
 @settings(max_examples=25, deadline=None)
-def test_any_support_walk_is_exact(supports, algorithm):
+def test_any_support_walk_is_exact(supports, strategy, backend, jobs, representation):
     """Whatever order the user wanders through thresholds, every answer
-    equals a from-scratch mine at that threshold."""
-    session = MiningSession(_DB, algorithm=algorithm)
+    equals a from-scratch mine at that threshold (by an independent
+    miner), whatever the session's kernel settings."""
+    session = MiningSession(
+        _DB,
+        strategy=strategy,
+        backend=backend,
+        jobs=jobs,
+        representation=representation,
+    )
     for support in supports:
-        assert session.mine(support) == mine_hmine(_DB, support)
+        assert session.mine(support) == mine_eclat_bitset(_DB, support)
 
 
 @given(supports=st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=6))

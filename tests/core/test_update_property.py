@@ -3,9 +3,10 @@
 The load-bearing invariant, over hypothesis-generated databases and
 deltas: a pattern set produced by patching warehoused feedstock across a
 :class:`~repro.data.versioned.DatabaseDelta` — whatever update mode the
-planner picks, whatever miner/strategy/backend carries it out, whatever
-representation the feedstock is cached in — is **bit-identical** to
-mining the post-update database from scratch. Covered delta shapes:
+planner picks, whatever strategy/backend/jobs setting the grouped kernel
+runs under, whatever representation the feedstock is cached in — is
+**bit-identical** to mining the post-update database from scratch (by
+brute force, an oracle that shares no code with the kernel). Covered delta shapes:
 insert-only (FUP territory), delete-only, mixed, and the session's
 sliding-window slide (append + expire in one delta).
 """
@@ -27,9 +28,6 @@ from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.mining.bruteforce import mine_bruteforce
-from repro.mining.registry import iter_miners
-
-RECYCLING_NAMES = sorted(spec.name for spec in iter_miners("recycling"))
 
 small_databases = st.lists(
     st.lists(st.integers(0, 7), min_size=1, max_size=6),
@@ -59,12 +57,13 @@ def _condensed(patterns, support, representation, db_size):
     xi_new=st.integers(1, 5),
     strategy=st.sampled_from(["mcp", "mlp"]),
     backend=st.sampled_from(["bitset", "python"]),
+    jobs=st.sampled_from([1, 2]),
     representation=st.sampled_from(["full", "closed", "ndi"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_update_path_is_bit_identical_to_scratch(
     transactions, appends, delete_count, xi_old, xi_new,
-    strategy, backend, representation,
+    strategy, backend, jobs, representation,
 ):
     db = TransactionDatabase(transactions)
     v0 = VersionedDatabase.initial(db)
@@ -79,22 +78,18 @@ def test_update_path_is_bit_identical_to_scratch(
         return
     feedstock = _condensed(old_patterns, xi_old, representation, len(db))
     reference = mine_bruteforce(v1.db, xi_new)
-    for name in RECYCLING_NAMES:
-        plan = plan_update_path(
-            xi_new, feedstock, xi_old, db, delta, len(v1.db)
-        )
-        assert plan.path in (PATH_UPDATE, PATH_MINE)
-        if plan.path == PATH_UPDATE and plan.update_mode == UPDATE_FUP:
-            assert delta.is_insert_only
-        result = execute_plan(
-            plan, v1.db, xi_new,
-            algorithm=name, strategy=strategy, backend=backend,
-        )
-        assert result == reference, (
-            f"{name}/{strategy}/{backend}/{representation} diverged on "
-            f"{plan.path}:{plan.update_mode} "
-            f"(+{len(delta.appends)}/-{len(delta.deletes)})"
-        )
+    plan = plan_update_path(xi_new, feedstock, xi_old, db, delta, len(v1.db))
+    assert plan.path in (PATH_UPDATE, PATH_MINE)
+    if plan.path == PATH_UPDATE and plan.update_mode == UPDATE_FUP:
+        assert delta.is_insert_only
+    result = execute_plan(
+        plan, v1.db, xi_new, strategy=strategy, backend=backend, jobs=jobs,
+    )
+    assert result == reference, (
+        f"{strategy}/{backend}/jobs={jobs}/{representation} diverged on "
+        f"{plan.path}:{plan.update_mode} "
+        f"(+{len(delta.appends)}/-{len(delta.deletes)})"
+    )
 
 
 @given(

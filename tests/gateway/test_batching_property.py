@@ -5,8 +5,10 @@ compatible requests served through one gateway batch (one mine at the
 group-minimum support, members served by ``filter_min_support``) must
 equal — pattern for pattern, support count for support count — the
 responses an isolated synchronous :class:`MiningService` produces for
-the same requests, across miner × strategy × backend × warehouse
-representation (closed / NDI).
+the same requests, across strategy × backend × jobs × warehouse
+representation (closed / NDI) — and both must equal an independent
+scratch mine (vertical Eclat, which shares no code with the grouped
+kernel).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.data.transactions import TransactionDatabase
 from repro.gateway import MiningGateway
+from repro.mining.eclat import mine_eclat_bitset
 from repro.service import MineRequest, MiningService, PatternWarehouse
 
 small_databases = st.lists(
@@ -28,14 +31,14 @@ small_databases = st.lists(
 @given(
     transactions=small_databases,
     supports=st.lists(st.integers(1, 8), min_size=2, max_size=5),
-    algorithm=st.sampled_from(["apriori", "eclat", "fpgrowth", "hmine"]),
     strategy=st.sampled_from(["mcp", "mlp"]),
     backend=st.sampled_from(["python", "bitset"]),
+    jobs=st.sampled_from([1, 2]),
     representation=st.sampled_from(["closed", "ndi"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_batched_group_equals_independent_serving(
-    transactions, supports, algorithm, strategy, backend, representation
+    transactions, supports, strategy, backend, jobs, representation
 ):
     db = TransactionDatabase(transactions)
     requests = [
@@ -43,9 +46,9 @@ def test_batched_group_equals_independent_serving(
             db=db,
             support=support,
             tenant=f"tenant-{i}",
-            algorithm=algorithm,
             strategy=strategy,
             backend=backend,
+            jobs=jobs,
         )
         for i, support in enumerate(supports)
     ]
@@ -66,6 +69,9 @@ def test_batched_group_equals_independent_serving(
             expected = reference.execute(request)
             assert response.status == "served"
             assert response.patterns == expected.patterns
+            assert response.patterns == mine_eclat_bitset(
+                db, request.absolute_support()
+            )
             assert (
                 response.response.absolute_support == expected.absolute_support
             )

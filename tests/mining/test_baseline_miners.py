@@ -7,15 +7,16 @@ import pytest
 from repro.data.transactions import TransactionDatabase
 from repro.errors import MiningError
 from repro.metrics.counters import CostCounters
-from repro.mining import BASELINE_MINERS
 from repro.mining.apriori import mine_apriori
 from repro.mining.bruteforce import mine_bruteforce
 from repro.mining.eclat import mine_eclat
 from repro.mining.fptree import mine_fpgrowth
 from repro.mining.hmine import build_hstruct, mine_hmine
 from repro.mining.flist import FList
+from repro.mining.registry import iter_miners
 from repro.mining.treeprojection import mine_treeprojection
 
+BASELINE_MINERS = {spec.name: spec.fn for spec in iter_miners("baseline")}
 ALL_MINERS = sorted(BASELINE_MINERS)
 
 

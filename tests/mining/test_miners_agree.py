@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 
 from repro.data.synthetic import random_database
 from repro.data.transactions import TransactionDatabase
-from repro.mining import BASELINE_MINERS
 from repro.mining.bruteforce import mine_bruteforce
+from repro.mining.registry import iter_miners
+
+BASELINE_MINERS = {spec.name: spec.fn for spec in iter_miners("baseline")}
 
 transactions_strategy = st.lists(
     st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=6),

@@ -1,20 +1,16 @@
-"""Tests for the capability-aware miner registry and its legacy views."""
+"""Tests for the capability-aware miner registry."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.recycle import RECYCLING_MINERS
 from repro.errors import MiningError
-from repro.mining import BASELINE_MINERS
 from repro.mining.registry import (
     MINERS,
     MinerSpec,
-    MinerView,
     get_miner,
     has_miner,
     iter_miners,
-    miner_names,
     mine_with_budget,
     register,
 )
@@ -69,25 +65,6 @@ class TestRegistration:
     def test_invalid_backend_rejected(self):
         with pytest.raises(MiningError, match="unknown miner backend"):
             MinerSpec(name="x", kind="baseline", fn=lambda *a: None, backend="gpu")
-
-
-class TestLegacyViews:
-    def test_baseline_view_reads_registry(self):
-        assert set(BASELINE_MINERS) == set(miner_names("baseline"))
-        assert BASELINE_MINERS["hmine"] is get_miner("hmine", "baseline").fn
-
-    def test_recycling_view_reads_registry(self):
-        assert set(RECYCLING_MINERS) == set(miner_names("recycling"))
-        assert RECYCLING_MINERS["naive"] is get_miner("naive", "recycling").fn
-
-    def test_view_raises_keyerror_like_a_dict(self):
-        with pytest.raises(KeyError):
-            BASELINE_MINERS["quantum"]
-        assert "quantum" not in BASELINE_MINERS
-
-    def test_view_rejects_unknown_kind(self):
-        with pytest.raises(MiningError):
-            MinerView("magic")
 
 
 class TestBudgetCapability:

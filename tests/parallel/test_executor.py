@@ -7,7 +7,8 @@ import pickle
 import pytest
 
 from repro.core.compression import compress
-from repro.core.planner import PATH_FILTER, PATH_MINE, PATH_RECYCLE
+from repro.core.groups import GroupedDatabase
+from repro.core.planner import PATH_FILTER, PATH_RECYCLE
 from repro.data.patterns import PatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.errors import ParallelError
@@ -20,6 +21,7 @@ from repro.parallel import (
     run_shard_task,
 )
 from repro.parallel.executor import patterns_to_rows, rows_to_patterns
+from repro.resilience import SHARD_CRASH, FaultInjector
 
 
 def db() -> TransactionDatabase:
@@ -64,12 +66,12 @@ class TestRunShardTask:
         patterns = rows_to_patterns(result["patterns"])
         assert patterns == mine_bruteforce(shard.database(), 2)
 
-    def test_scratch_mode_uses_a_baseline_miner(self):
-        shard = one_shard()
-        result = run_shard_task(
-            ShardTask(shard=shard, local_support=2, scratch=True)
-        )
-        assert result["path"] == PATH_MINE
+    def test_scratch_shard_is_one_residual_group(self):
+        """A scratch mine's shard is the uncompressed case of the same
+        task: one residual group, mined by the same kernel."""
+        grouped = GroupedDatabase.from_database(db())
+        shard = ShardPlanner(2).plan(grouped).shards[0]
+        result = run_shard_task(ShardTask(shard=shard, local_support=2))
         patterns = rows_to_patterns(result["patterns"])
         assert patterns == mine_bruteforce(shard.database(), 2)
 
@@ -148,7 +150,9 @@ class TestParallelEngine:
         old = mine_bruteforce(database, 4)
         counters = CostCounters()
         outcome = ParallelEngine(
-            2, executor="inline", failure_injection=(0,)
+            2,
+            executor="inline",
+            fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0),
         ).recycle_mine(database, old, 2, counters=counters)
         assert outcome.fallback
         assert "injected failure" in outcome.fallback_reason

@@ -1,12 +1,12 @@
 """The tentpole invariant: shard-merge == single-process, always.
 
-For every registered recycling miner x compression strategy x jobs in
-{1, 2, 4}, with the Lemma 3.1 single-group shortcut on and off, the
-sharded engine's patterns (and supports) are set-identical to the
-single-process ``recycle_mine`` result over hypothesis-generated
-databases. The property runs on the inline executor — the exact worker
-code path including the pickling round-trip, minus process startup — and
-a separate spot check covers the real process pool.
+For every compression strategy x kernel backend x jobs in {1, 2, 4}, the
+sharded engine's patterns (and supports) are set-identical to a
+brute-force scratch mine — an oracle that shares no code with the
+grouped kernel the shards run — over hypothesis-generated databases. The
+property runs on the inline executor — the exact worker code path
+including the pickling round-trip, minus process startup — and a
+separate spot check covers the real process pool.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from hypothesis import strategies as st
 from repro.core.recycle import recycle_mine
 from repro.data.transactions import TransactionDatabase
 from repro.mining.bruteforce import mine_bruteforce
-from repro.mining.registry import iter_miners
 from repro.parallel import ParallelEngine
+from repro.resilience import SHARD_CRASH, FaultInjector, RetryPolicy
 
-RECYCLING_NAMES = sorted(spec.name for spec in iter_miners("recycling"))
 JOBS = (1, 2, 4)
 
 small_databases = st.lists(
@@ -35,44 +34,41 @@ small_databases = st.lists(
     xi_old=st.integers(2, 5),
     xi_new=st.integers(1, 3),
     strategy=st.sampled_from(["mcp", "mlp"]),
-    shortcut=st.booleans(),
+    backend=st.sampled_from(["bitset", "python"]),
 )
 @settings(max_examples=25, deadline=None)
 def test_shard_merge_equals_single_process(
-    transactions, xi_old, xi_new, strategy, shortcut
+    transactions, xi_old, xi_new, strategy, backend
 ):
     db = TransactionDatabase(transactions)
     old_patterns = mine_bruteforce(db, max(xi_old, xi_new))
     if len(old_patterns) == 0:
         return
-    for name in RECYCLING_NAMES:
-        reference = recycle_mine(
-            db, old_patterns, xi_new, algorithm=name, strategy=strategy
+    reference = mine_bruteforce(db, xi_new)
+    for jobs in JOBS:
+        outcome = ParallelEngine(jobs, executor="inline").recycle_mine(
+            db, old_patterns, xi_new, strategy=strategy, backend=backend
         )
-        for jobs in JOBS:
-            outcome = ParallelEngine(jobs, executor="inline").recycle_mine(
-                db,
-                old_patterns,
-                xi_new,
-                algorithm=name,
-                strategy=strategy,
-                single_group_shortcut=shortcut,
-            )
-            assert outcome.patterns == reference, (
-                f"{name}/{strategy}/jobs={jobs}/shortcut={shortcut} diverged"
-            )
+        assert outcome.patterns == reference, (
+            f"{strategy}/{backend}/jobs={jobs} diverged"
+        )
 
 
 @given(
     transactions=small_databases,
     xi_new=st.integers(1, 3),
     jobs=st.sampled_from(JOBS),
+    backend=st.sampled_from(["bitset", "python"]),
 )
 @settings(max_examples=25, deadline=None)
-def test_parallel_scratch_mine_equals_single_process(transactions, xi_new, jobs):
+def test_parallel_scratch_mine_equals_single_process(
+    transactions, xi_new, jobs, backend
+):
     db = TransactionDatabase(transactions)
     reference = mine_bruteforce(db, xi_new)
-    outcome = ParallelEngine(jobs, executor="inline").mine(db, xi_new)
+    outcome = ParallelEngine(jobs, executor="inline").mine(
+        db, xi_new, backend=backend
+    )
     assert outcome.patterns == reference
 
 
@@ -87,9 +83,12 @@ def test_crash_fallback_still_matches(transactions, xi_old, xi_new):
     old_patterns = mine_bruteforce(db, max(xi_old, xi_new))
     if len(old_patterns) == 0:
         return
-    reference = recycle_mine(db, old_patterns, xi_new)
+    reference = mine_bruteforce(db, xi_new)
     outcome = ParallelEngine(
-        4, executor="inline", failure_injection=(0, 2)
+        4,
+        executor="inline",
+        retry_policy=RetryPolicy(max_attempts=1),
+        fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0),
     ).recycle_mine(db, old_patterns, xi_new)
     assert outcome.patterns == reference
 

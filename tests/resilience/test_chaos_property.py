@@ -1,9 +1,11 @@
 """Acceptance property: faults change the path, never the patterns.
 
-For every recycling miner × compression strategy × injected fault
-profile — a shard crash on attempt 1, a slow shard blowing the engine
-deadline, corrupt warehouse feedstock — the final pattern set is
-identical to the fault-free serial run, and the
+For every compression strategy × kernel backend × jobs × warehouse
+representation × injected fault profile — a shard crash on attempt 1, a
+slow shard blowing the engine deadline, corrupt warehouse feedstock —
+the final pattern set is identical to the fault-free answer of an
+independent miner (vertical Eclat, which shares no code with the grouped
+kernel), and the
 :class:`~repro.resilience.DegradationReport` names the path actually
 taken.
 """
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.transactions import TransactionDatabase
-from repro.mining.registry import get_miner, miner_names
+from repro.mining.eclat import mine_eclat_bitset
 from repro.parallel import ParallelEngine
 from repro.resilience import (
     REASON_DEADLINE,
@@ -30,8 +32,9 @@ from repro.resilience import (
 )
 from repro.service import MineRequest, MiningService, PatternWarehouse
 
-RECYCLING = sorted(miner_names("recycling"))
 STRATEGIES = ("mcp", "mlp")
+BACKENDS = ("bitset", "python")
+REPRESENTATIONS = ("full", "closed", "ndi")
 PROFILES = ("crash_attempt_1", "slow_under_deadline", "corrupt_feedstock")
 
 OLD_SUPPORT = 10
@@ -54,16 +57,16 @@ def make_db(seed: int) -> TransactionDatabase:
 
 def serial_answer(db: TransactionDatabase, support: int):
     """The fault-free serial ground truth every chaos run must match."""
-    return get_miner("hmine", kind="baseline").mine(db, support)
+    return mine_eclat_bitset(db, support)
 
 
-def run_crash_attempt_1(db, algorithm, strategy, old_patterns):
+def run_crash_attempt_1(db, strategy, backend, jobs, representation, old_patterns):
     faults = FaultInjector().inject(SHARD_CRASH, on_calls=(1,))
     engine = ParallelEngine(
-        2, executor="inline", retry_policy=FAST_RETRY, fault_injector=faults
+        jobs, executor="inline", retry_policy=FAST_RETRY, fault_injector=faults
     )
     outcome = engine.recycle_mine(
-        db, old_patterns, NEW_SUPPORT, algorithm=algorithm, strategy=strategy
+        db, old_patterns, NEW_SUPPORT, strategy=strategy, backend=backend
     )
     # The retry healed the transient crash: parallel served, no ladder.
     if outcome.jobs > 1:
@@ -73,19 +76,21 @@ def run_crash_attempt_1(db, algorithm, strategy, old_patterns):
     return outcome.patterns, outcome.degradation
 
 
-def run_slow_under_deadline(db, algorithm, strategy, old_patterns):
+def run_slow_under_deadline(
+    db, strategy, backend, jobs, representation, old_patterns
+):
     faults = FaultInjector().inject(
         SHARD_SLOW, probability=1.0, delay_seconds=0.2
     )
     engine = ParallelEngine(
-        2,
+        jobs,
         executor="inline",
         timeout_seconds=0.1,
         retry_policy=FAST_RETRY,
         fault_injector=faults,
     )
     outcome = engine.recycle_mine(
-        db, old_patterns, NEW_SUPPORT, algorithm=algorithm, strategy=strategy
+        db, old_patterns, NEW_SUPPORT, strategy=strategy, backend=backend
     )
     # Every shard sleeps past the deadline: the serial fallback answers
     # and the ladder names the deadline.
@@ -97,25 +102,30 @@ def run_slow_under_deadline(db, algorithm, strategy, old_patterns):
     return outcome.patterns, outcome.degradation
 
 
-def run_corrupt_feedstock(db, algorithm, strategy, old_patterns):
+def run_corrupt_feedstock(db, strategy, backend, jobs, representation, old_patterns):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         fingerprint = db.fingerprint()
-        seeded = PatternWarehouse(directory=directory)
+        seeded = PatternWarehouse(
+            directory=directory, representation=representation
+        )
         seeded.put(fingerprint, OLD_SUPPORT, old_patterns)
         path = directory / f"{fingerprint}-{OLD_SUPPORT}.patterns"
         # Torn write: the tail of the body is lost, so the checksum in
         # the (intact) header no longer matches.
         path.write_text(path.read_text()[:-5])
-        warehouse = PatternWarehouse(directory=directory)
+        warehouse = PatternWarehouse(
+            directory=directory, representation=representation
+        )
         assert warehouse.has_quarantined(fingerprint)
         with MiningService(warehouse=warehouse) as service:
             response = service.execute(
                 MineRequest(
                     db=db,
                     support=NEW_SUPPORT,
-                    algorithm=algorithm,
                     strategy=strategy,
+                    backend=backend,
+                    jobs=jobs,
                 )
             )
         # The would-be recycle degrades to a scratch mine, by name.
@@ -135,23 +145,23 @@ RUNNERS = {
 
 @settings(max_examples=25, deadline=None)
 @given(
-    algorithm=st.sampled_from(RECYCLING),
     strategy=st.sampled_from(STRATEGIES),
+    backend=st.sampled_from(BACKENDS),
+    jobs=st.sampled_from((2, 3)),
+    representation=st.sampled_from(REPRESENTATIONS),
     profile=st.sampled_from(PROFILES),
     seed=st.integers(min_value=0, max_value=3),
 )
-def test_fault_profiles_never_change_the_answer(algorithm, strategy, profile, seed):
+def test_fault_profiles_never_change_the_answer(
+    strategy, backend, jobs, representation, profile, seed
+):
     db = make_db(seed)
     expected = serial_answer(db, NEW_SUPPORT)
     old_patterns = serial_answer(db, OLD_SUPPORT)
     if len(old_patterns) == 0:
         return  # nothing to recycle at this seed; vacuous
-    # The service path validates baseline names; recycling-only names
-    # ("naive") are exercised through the engine profiles instead.
-    if profile == "corrupt_feedstock" and algorithm == "naive":
-        profile = "crash_attempt_1"
     patterns, degradation = RUNNERS[profile](
-        db, algorithm, strategy, old_patterns
+        db, strategy, backend, jobs, representation, old_patterns
     )
     assert patterns == expected
     assert isinstance(degradation.describe(), str)

@@ -7,10 +7,11 @@ import threading
 
 import pytest
 
-import repro.core.planner as planner_module
+import repro.storage.projection as projection_module
 from repro.data.synthetic import QuestParams, quest_database
 from repro.errors import ReproError
 from repro.mining.hmine import mine_hmine
+from repro.resilience import SHARD_CRASH, FaultInjector
 from repro.service import MineRequest, MiningService, PatternWarehouse
 from repro.storage.disk import patterns_byte_size
 
@@ -47,9 +48,9 @@ class TestSingleRequests:
             assert service.stats.mine_runs == 2
 
     def test_unknown_algorithm_rejected_at_submit(self, db):
-        with MiningService() as service:
-            with pytest.raises(ReproError, match="unknown algorithm"):
-                service.submit(MineRequest(db=db, support=12, algorithm="magic"))
+        """The service runs one kernel: a request cannot name a miner."""
+        with pytest.raises(TypeError, match="algorithm"):
+            MineRequest(db=db, support=12, algorithm="hmine")
 
     def test_closed_service_rejects_requests(self, db):
         service = MiningService()
@@ -113,7 +114,9 @@ class TestParallelRequests:
         in the service stats."""
         with MiningService(
             warehouse=PatternWarehouse(),
-            parallel_engine_factory=self._inline_factory(failure_injection=(0,)),
+            parallel_engine_factory=self._inline_factory(
+                fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0)
+            ),
         ) as service:
             response = service.execute(MineRequest(db=db, support=10, jobs=2))
             assert response.parallel_fallback
@@ -153,23 +156,15 @@ class TestSingleFlight:
         """Six identical requests submitted while the leader is gated must
         produce exactly one underlying mining run."""
         release = threading.Event()
-        real_get_miner = planner_module.get_miner
+        real_kernel = projection_module.mine_grouped
         mine_calls: list[int] = []
 
-        class GatedSpec:
-            def __init__(self, spec):
-                self._spec = spec
+        def gated_kernel(source, support, counters=None, **kwargs):
+            mine_calls.append(support)
+            assert release.wait(timeout=30), "gate never released"
+            return real_kernel(source, support, counters, **kwargs)
 
-            def mine(self, database, support, counters=None):
-                mine_calls.append(support)
-                assert release.wait(timeout=30), "gate never released"
-                return self._spec.mine(database, support, counters)
-
-        monkeypatch.setattr(
-            planner_module,
-            "get_miner",
-            lambda name, kind="baseline": GatedSpec(real_get_miner(name, kind=kind)),
-        )
+        monkeypatch.setattr(projection_module, "mine_grouped", gated_kernel)
         with MiningService(warehouse=PatternWarehouse(), max_workers=4) as service:
             futures = [
                 service.submit(MineRequest(db=db, support=10, tenant=f"user-{i}"))
@@ -187,15 +182,11 @@ class TestSingleFlight:
     def test_failures_propagate_to_every_waiter(self, db, monkeypatch):
         release = threading.Event()
 
-        def explode(name, kind="baseline"):
-            class Boom:
-                def mine(self, database, support, counters=None):
-                    assert release.wait(timeout=30)
-                    raise RuntimeError("disk on fire")
+        def explode(source, support, counters=None, **kwargs):
+            assert release.wait(timeout=30)
+            raise RuntimeError("disk on fire")
 
-            return Boom()
-
-        monkeypatch.setattr(planner_module, "get_miner", explode)
+        monkeypatch.setattr(projection_module, "mine_grouped", explode)
         with MiningService(warehouse=PatternWarehouse(), max_workers=2) as service:
             futures = [
                 service.submit(MineRequest(db=db, support=10)) for _ in range(3)

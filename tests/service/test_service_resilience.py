@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-import repro.core.planner as planner_module
+import repro.storage.projection as projection_module
 from repro.data.synthetic import QuestParams, quest_database
 from repro.errors import MiningError
 from repro.mining.hmine import mine_hmine
@@ -80,7 +80,8 @@ class TestCircuitBreaker:
         with MiningService(
             warehouse=None,  # keep every request on the mine path
             parallel_engine_factory=inline_factory(
-                failure_injection=(0,), retry_policy=no_wait()
+                fault_injector=FaultInjector().inject(SHARD_CRASH, probability=1.0),
+                retry_policy=no_wait(),
             ),
             resilience=ResilienceConfig(breaker=breaker),
         ) as service:
@@ -119,13 +120,17 @@ class TestCircuitBreaker:
             from repro.parallel import ParallelEngine
 
             calls["n"] += 1
-            inject = (0,) if calls["n"] == 1 else ()
+            inject = (
+                FaultInjector().inject(SHARD_CRASH, probability=1.0)
+                if calls["n"] == 1
+                else None
+            )
             return ParallelEngine(
                 jobs,
                 executor="inline",
                 shard_feedstock=shard_feedstock,
                 on_shard_result=on_shard_result,
-                failure_injection=inject,
+                fault_injector=inject,
                 retry_policy=no_wait(),
             )
 
@@ -208,27 +213,17 @@ class TestSingleFlightFailure:
         """Satellite: all coalesced waiters get the leader's exception,
         and the in-flight key is cleared so the next submit retries."""
         release = threading.Event()
-        real_get_miner = planner_module.get_miner
+        real_kernel = projection_module.mine_grouped
         attempts: list[int] = []
 
-        class ExplodingSpec:
-            def __init__(self, spec):
-                self._spec = spec
+        def exploding_kernel(source, support, counters=None, **kwargs):
+            attempts.append(support)
+            assert release.wait(timeout=30), "gate never released"
+            if len(attempts) == 1:
+                raise MiningError("injected leader failure")
+            return real_kernel(source, support, counters, **kwargs)
 
-            def mine(self, database, support, counters=None):
-                attempts.append(support)
-                assert release.wait(timeout=30), "gate never released"
-                if len(attempts) == 1:
-                    raise MiningError("injected leader failure")
-                return self._spec.mine(database, support, counters)
-
-        monkeypatch.setattr(
-            planner_module,
-            "get_miner",
-            lambda name, kind="baseline": ExplodingSpec(
-                real_get_miner(name, kind=kind)
-            ),
-        )
+        monkeypatch.setattr(projection_module, "mine_grouped", exploding_kernel)
         with MiningService(warehouse=None, max_workers=2) as service:
             futures = [
                 service.submit(MineRequest(db=db, support=10, tenant=f"t{i}"))

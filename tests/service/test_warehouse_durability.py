@@ -3,6 +3,8 @@ drop/evict/quarantine, persisted chains, and the GC entry point."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
@@ -163,3 +165,25 @@ class TestWarehouseGC:
         report = warehouse.gc()
         assert report.dropped_links == 1
         assert len(warehouse.lineage_of("c" * 64)) == 1
+
+
+class TestNonUtf8Bytes:
+    @pytest.mark.parametrize("kind", ["entry", "journal", "manifest", "chain"])
+    def test_non_utf8_byte_is_quarantined_on_reopen(self, tmp_path, kind):
+        """Every parser of durable bytes is total: one undecodable byte
+        quarantines the file on reopen instead of raising."""
+        db = make_db()
+        _, (v0, v1, _) = seed_warehouse(tmp_path, db)
+        path = {
+            "entry": tmp_path / f"{v0.fingerprint()}-6.patterns",
+            "journal": tmp_path / "journal.log",
+            "manifest": tmp_path / "MANIFEST",
+            "chain": tmp_path / "chains" / f"{v1.fingerprint()}.chain",
+        }[kind]
+        assert path.exists()
+        path.write_bytes(b"\xff" + path.read_bytes())
+        reopened = PatternWarehouse(directory=tmp_path)
+        assert (tmp_path / "quarantine" / path.name).exists()
+        assert not path.exists() or path.read_bytes()[:1] != b"\xff"
+        if kind != "entry":
+            assert reopened.get(v0.fingerprint(), 6) == mine_hmine(db, 6)

@@ -27,9 +27,9 @@ def _spec(**overrides) -> dict:
 
 class TestParsing:
     def test_defaults_flow_into_requests(self):
-        requests = parse_workload(_spec(algorithm="fpgrowth", strategy="mlp"))
+        requests = parse_workload(_spec(jobs=2, strategy="mlp"))
         assert [r.tenant for r in requests] == ["alice", "bob"]
-        assert all(r.algorithm == "fpgrowth" for r in requests)
+        assert all(r.jobs == 2 for r in requests)
         assert all(r.strategy == "mlp" for r in requests)
 
     def test_requests_share_one_database_object(self):
@@ -58,6 +58,7 @@ class TestParsing:
             ({"requests": [{"tenant": "x"}]}, "no support"),
             ({"requests": [{"support": 0.5, "dataset": "mars"}]}, "unknown dataset"),
             ({"dataset": None, "requests": [{"support": 0.5}]}, "no dataset"),
+            ({"requests": [{"op": ["append"]}]}, "unknown op"),
         ],
     )
     def test_malformed_workloads_rejected(self, mutation, message):
@@ -66,6 +67,26 @@ class TestParsing:
         if spec.get("dataset") is None:
             del spec["dataset"]
         with pytest.raises(DataError, match=message):
+            parse_workload(spec)
+
+    @pytest.mark.parametrize("key", ["algorithm", "backend", "suport"])
+    def test_unknown_top_level_key_rejected(self, key):
+        with pytest.raises(DataError, match=f"workload: unknown key '{key}'"):
+            parse_workload(_spec(**{key: "hmine"}))
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [
+            ({"tenant": "x", "support": 0.5, "algorithm": "hmine"}, "algorithm"),
+            ({"tenant": "x", "support": 0.5, "backend": "python"}, "backend"),
+            ({"op": "append", "transactions": [[1]], "tids": [0]}, "tids"),
+            ({"op": "delete", "tids": [0], "support": 0.5}, "support"),
+        ],
+    )
+    def test_unknown_request_key_rejected(self, entry, key):
+        spec = _spec()
+        spec["requests"].append(entry)
+        with pytest.raises(DataError, match=f"request #2: unknown key '{key}'"):
             parse_workload(spec)
 
     def test_load_workload_file(self, tmp_path):

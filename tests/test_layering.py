@@ -26,7 +26,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: ``repro.parallel`` sits beside ``repro.service`` above the algorithm
 #: layers: it may use data/core/mining/storage but never the service,
 #: which orchestrates it.  The reverse edge — ``repro.core`` reaching
-#: ``repro.parallel`` from ``recycle_mine(jobs=...)`` — is a deliberate,
+#: ``repro.parallel`` from ``execute_plan(jobs=...)`` — is a deliberate,
 #: function-local lazy import and therefore intentionally absent from
 #: core's forbidden list.
 #: ``repro.resilience`` is deliberately the lowest non-trivial layer: it
@@ -189,7 +189,20 @@ def test_every_source_module_is_parseable():
 
 #: API names retired for good. They must not resurface anywhere in the
 #: source tree — not as definitions, not as imports, not as shims.
-RETIRED_NAMES = ("CGroup", "compressed_to_cgroups", "database_to_cgroups")
+RETIRED_NAMES = (
+    "CGroup",
+    "compressed_to_cgroups",
+    "database_to_cgroups",
+    "BASELINE_MINERS",
+    "MinerView",
+    "RECYCLING_MINERS",
+    "failure_injection",
+    "get_recycling_miner",
+    "parallel_mine",
+    "parallel_recycle_mine",
+    "resolve_baseline_algorithm",
+    "resolve_recycling_algorithm",
+)
 
 
 def test_retired_names_stay_retired():
@@ -223,4 +236,47 @@ def test_retired_names_stay_retired():
                 offenders.append(f"{module_name(path)} references {name}")
     assert not offenders, (
         "retired API names resurfaced:\n  " + "\n  ".join(offenders)
+    )
+
+
+#: Modules that serve requests. They run the one grouped kernel, so none
+#: may look a miner up by name or accept an ``algorithm`` to pick one.
+SERVING_LAYERS = (
+    "repro.core.planner",
+    "repro.core.session",
+    "repro.gateway",
+    "repro.parallel",
+    "repro.service",
+)
+MINER_LOOKUPS = {"get_miner", "has_miner", "miner_names"}
+
+
+def test_serving_layers_run_one_kernel():
+    offenders: list[str] = []
+    for path in sorted(SRC.glob("repro/**/*.py")):
+        name = module_name(path)
+        if not any(_within(name, layer) for layer in SERVING_LAYERS):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            used: set[str] = set()
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            for lookup in sorted(used & MINER_LOOKUPS):
+                offenders.append(f"{name} references {lookup}")
+            if isinstance(node, (ast.arg, ast.keyword)) and node.arg == "algorithm":
+                offenders.append(f"{name} has an algorithm argument")
+            if (
+                isinstance(node, ast.AnnAssign)
+                and isinstance(node.target, ast.Name)
+                and node.target.id == "algorithm"
+            ):
+                offenders.append(f"{name} has an algorithm field")
+    assert not offenders, (
+        "serving layers must run the grouped kernel, not a named miner:\n  "
+        + "\n  ".join(offenders)
     )
