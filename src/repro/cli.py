@@ -392,7 +392,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
             )
         if wh["quarantined"]:
             print(
-                f"warehouse: {wh['quarantined']} corrupt pattern file(s) "
+                f"warehouse: {wh['quarantined']} damaged file(s) "
                 "quarantined at load"
             )
         if wh["recovered_entries"] or wh["recovered_chains"]:
@@ -419,12 +419,11 @@ def _command_warehouse(args: argparse.Namespace) -> int:
     """Inspect, audit-recover, or garbage-collect a disk-backed warehouse."""
     from repro.service import PatternWarehouse
 
-    # Inspection must not rewrite files behind the user's back: the
-    # load-time migration a serving warehouse performs is disabled, and
-    # crash recovery runs in audit mode (counted, not applied) unless
-    # the invocation explicitly mutates — the `recover` verb repairs,
-    # and a non-dry `--gc` implies repairing first so collection never
-    # runs over an unresolved journal.
+    # Inspection must not rewrite files behind the user's back: unless
+    # the invocation explicitly mutates, the warehouse opens read-only
+    # (recovery audits, nothing is moved or migrated). The `recover` verb
+    # repairs, and a non-dry `--gc` implies repairing first so
+    # collection never runs over an unresolved journal.
     mutating = args.verb == "recover" or (args.gc and not args.dry_run)
     warehouse = PatternWarehouse(
         directory=args.dir, migrate_on_load=False, repair_on_load=mutating
@@ -465,7 +464,7 @@ def _warehouse_list(args: argparse.Namespace, warehouse) -> int:
         f"(condensation ×{warehouse.condensation_ratio():.1f})"
     )
     if stats["quarantined"]:
-        print(f"{stats['quarantined']} corrupt pattern file(s) quarantined at load")
+        print(f"{stats['quarantined']} damaged file(s) left in place (audit only)")
     if not args.verify:
         return 0
     failures = 0

@@ -103,7 +103,10 @@ def parse_patterns(handle: TextIO) -> PatternSet:
             raise DataError(f"line {line_no}: malformed pattern {stripped!r}") from exc
         if not items:
             raise DataError(f"line {line_no}: empty pattern")
-        patterns.add(items, support)
+        try:
+            patterns.add(items, support)
+        except MiningError as exc:  # negative or conflicting support
+            raise DataError(f"line {line_no}: {exc}") from exc
     return patterns
 
 
@@ -182,14 +185,22 @@ def write_patterns_with_support(
     header-less file, and bit rot or truncation that slips past the
     atomic rename is caught by the checksum on read.
     """
-    path = Path(path)
     body = _pattern_body(patterns)
+    _replace_atomically(
+        path,
+        f"{SUPPORT_HEADER_PREFIX}{absolute_support}\n"
+        f"{CHECKSUM_HEADER_PREFIX}{pattern_body_checksum(body)}\n"
+        + body,
+    )
+
+
+def _replace_atomically(path: str | Path, text: str) -> None:
+    """Write ``text`` to a sibling temp file, then ``os.replace`` it in."""
+    path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(f"{SUPPORT_HEADER_PREFIX}{absolute_support}\n")
-            handle.write(f"{CHECKSUM_HEADER_PREFIX}{pattern_body_checksum(body)}\n")
-            handle.write(body)
+            handle.write(text)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -244,19 +255,7 @@ def write_warehouse_entry(
     and moves it into place with :func:`os.replace`, exactly like
     :func:`write_patterns_with_support`.
     """
-    path = Path(path)
-    text = warehouse_entry_text(condensed, full_bytes=full_bytes)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    _replace_atomically(path, warehouse_entry_text(condensed, full_bytes=full_bytes))
 
 
 def read_warehouse_entry(

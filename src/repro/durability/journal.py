@@ -78,7 +78,7 @@ class JournalRecord:
     payload: dict
 
 
-def _line_checksum(seq: int, phase: str, op: str, payload_json: str) -> str:
+def _line_checksum(seq: int | str, phase: str, op: str, payload_json: str) -> str:
     head = f"{seq}\t{phase}\t{op}\t{payload_json}"
     return hashlib.sha256(head.encode("utf-8")).hexdigest()
 
@@ -97,7 +97,7 @@ def parse_record(line: str) -> JournalRecord | None:
     if len(parts) != 5:
         return None
     seq_text, phase, op, payload_json, checksum = parts
-    if _line_checksum_safe(seq_text, phase, op, payload_json) != checksum:
+    if _line_checksum(seq_text, phase, op, payload_json) != checksum:
         return None
     if phase not in (PHASE_BEGIN, PHASE_COMMIT) or op not in JOURNAL_OPS:
         return None
@@ -109,13 +109,6 @@ def parse_record(line: str) -> JournalRecord | None:
     if not isinstance(payload, dict):
         return None
     return JournalRecord(seq=seq, phase=phase, op=op, payload=payload)
-
-
-def _line_checksum_safe(
-    seq_text: str, phase: str, op: str, payload_json: str
-) -> str:
-    head = f"{seq_text}\t{phase}\t{op}\t{payload_json}"
-    return hashlib.sha256(head.encode("utf-8")).hexdigest()
 
 
 class WriteAheadJournal:

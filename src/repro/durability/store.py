@@ -1,7 +1,7 @@
 """The durable store: crash-safe files + journal + manifest + recovery.
 
 One :class:`DurableStore` owns everything under a warehouse directory
-that must survive a kill::
+that must survive a kill, and is the only code that touches these files::
 
     <dir>/
         <fingerprint>-<support>.patterns   warehouse entries (atomic)
@@ -22,27 +22,29 @@ Write protocol (the crash-safety argument, window by window):
 3. ``journal.commit`` — a kill here merely leaves a pending record
    whose effect already landed; replay is idempotent.
 
-:meth:`DurableStore.recover` runs before the warehouse trusts the
-directory: it reads the journal (tolerating a torn tail line), rolls
-pending mutations forward or confirms them rolled back, sweeps stray
-temp files, loads the manifest and every chain record (quarantining
-damage exactly like corrupt pattern files), then compacts the journal.
+:meth:`DurableStore.recover` is the one load pass over the directory:
+it reads the journal (tolerating a torn tail line), rolls pending
+mutations forward or confirms them rolled back, sweeps stray temp
+files, loads the manifest, every chain record and every entry file
+(quarantining damage of any kind into one list), then compacts the
+journal.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection
 
-from repro.data.io import warehouse_entry_text
+from repro.data.io import read_warehouse_entry, warehouse_entry_text
 from repro.data.patterns import CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import VersionedDatabase
 from repro.errors import DataError, InjectedFaultError
-from repro.resilience.faults import PERSIST_MANIFEST
+from repro.resilience.faults import PERSIST_MANIFEST, WAREHOUSE_READ
 
 from repro.durability.atomic import atomic_write_text, sweep_tmp_files
 from repro.durability.chains import (
@@ -52,7 +54,7 @@ from repro.durability.chains import (
     read_chain_record,
     restore_version,
 )
-from repro.durability.gc import GCPlan, GCReport, LineageLink, plan_gc
+from repro.durability.gc import GCReport, LineageLink, plan_gc
 from repro.durability.journal import (
     OP_CHAIN,
     OP_DROP,
@@ -67,6 +69,11 @@ from repro.durability.journal import (
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.resilience.faults import FaultInjector
 
+logger = logging.getLogger(__name__)
+
+#: Suffix of warehouse entry files: ``<fingerprint>-<support>.patterns``.
+ENTRY_SUFFIX = ".patterns"
+
 #: The atomic lineage manifest's file name inside the store directory.
 MANIFEST_NAME = "MANIFEST"
 
@@ -76,7 +83,7 @@ JOURNAL_NAME = "journal.log"
 #: Subdirectory holding one ``.chain`` file per durable hop.
 CHAINS_DIR = "chains"
 
-#: Subdirectory quarantined files move to (shared with the warehouse).
+#: Subdirectory quarantined files move to (never scanned on load).
 QUARANTINE_DIR = "quarantine"
 
 #: Manifest format stamp; bump on incompatible change.
@@ -88,27 +95,60 @@ MANIFEST_FORMAT_VERSION = 1
 JOURNAL_COMPACT_BYTES = 64 * 1024
 
 
+#: One healthy entry file: (fingerprint, stored entry, full-bytes gauge).
+RecoveredEntry = tuple[str, CondensedPatternSet, int | None]
+
+
 @dataclass
 class RecoveryReport:
-    """What one :meth:`DurableStore.recover` pass found and fixed."""
+    """What one :meth:`DurableStore.recover` pass found and fixed.
+
+    ``quarantined`` names every damaged entry, chain, MANIFEST or journal
+    file with its reason; ``entries`` holds the healthy entries until
+    :meth:`take_entries` hands them over.
+    """
 
     journal_replays: int = 0
     torn_journal_lines: int = 0
     stray_tmp_removed: int = 0
     recovered_links: int = 0
     recovered_chains: int = 0
+    recovered_entries: int = 0
     quarantined: list[tuple[str, str]] = field(default_factory=list)
+    entries: list[RecoveredEntry] = field(default_factory=list, repr=False)
+
+    def take_entries(self) -> list[RecoveredEntry]:
+        """Hand the loaded entries over once (the report keeps counts)."""
+        entries, self.entries = self.entries, []
+        return entries
+
+    def quarantined_entry(self, fingerprint: str) -> bool:
+        """Whether an entry file of ``fingerprint`` was found damaged."""
+        for name, _reason in self.quarantined:
+            key = _split_entry_name(name)
+            if key is not None and key[0] == fingerprint:
+                return True
+        return False
+
+
+def _split_entry_name(name: str) -> tuple[str, str] | None:
+    """``(fingerprint, support text)`` of an entry filename, else ``None``."""
+    if not name.endswith(ENTRY_SUFFIX):
+        return None
+    fingerprint, sep, support = name[: -len(ENTRY_SUFFIX)].rpartition("-")
+    return (fingerprint, support) if sep and fingerprint else None
 
 
 class DurableStore:
     """Journaled, crash-safe persistence for one warehouse directory.
 
-    The store is the only writer of entry, chain, manifest and journal
-    files; the warehouse calls it under its own lock, so the store adds
-    just enough locking to protect the journal's sequence counter.
-    Construction performs no I/O beyond creating the directory layout —
-    call :meth:`recover` (the warehouse does, first thing) before
-    trusting the registries.
+    The store is the only reader and writer of entry, chain, manifest
+    and journal files; the warehouse calls it under its own lock, so
+    the store adds just enough locking to protect the journal's
+    sequence counter.
+    Construction performs no I/O beyond creating the directory — call
+    :meth:`recover` (the warehouse does, first thing) before trusting
+    the registries.
     """
 
     def __init__(
@@ -119,7 +159,6 @@ class DurableStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.chains_dir = self.directory / CHAINS_DIR
-        self.chains_dir.mkdir(parents=True, exist_ok=True)
         self.faults = faults
         self.journal = WriteAheadJournal(
             self.directory / JOURNAL_NAME, faults
@@ -132,7 +171,7 @@ class DurableStore:
     # paths
     # ------------------------------------------------------------------
     def entry_path(self, fingerprint: str, absolute_support: int) -> Path:
-        return self.directory / f"{fingerprint}-{absolute_support}.patterns"
+        return self.directory / f"{fingerprint}-{absolute_support}{ENTRY_SUFFIX}"
 
     def chain_path(self, child: str) -> Path:
         return self.chains_dir / f"{child}{CHAIN_SUFFIX}"
@@ -141,21 +180,20 @@ class DurableStore:
     def manifest_path(self) -> Path:
         return self.directory / MANIFEST_NAME
 
-    def quarantine_path(self, name: str) -> Path:
-        return self.directory / QUARANTINE_DIR / name
-
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
     def recover(self, *, apply: bool = True) -> RecoveryReport:
-        """Resolve in-flight mutations and load the durable registries.
+        """Resolve in-flight mutations and load every durable file.
 
-        ``apply=False`` audits without mutating the directory — pending
-        records are counted, stray temp files are reported as zero
-        (they are only *swept* when applying), and the journal is left
-        as found; the loaded registries are identical either way. The
-        CLI's read-only inspection uses the audit mode so listing a
-        warehouse never rewrites it.
+        Entry files load in filename order (the warehouse's LRU order),
+        firing ``warehouse.read`` once each. ``apply=False`` audits
+        without mutating the directory — pending records are counted,
+        stray temp files are reported as zero (they are only *swept*
+        when applying), damaged files are listed but left in place, and
+        the journal is left as found; the loaded registries are
+        identical either way. The CLI's read-only inspection uses the
+        audit mode.
         """
         report = RecoveryReport()
         try:
@@ -165,9 +203,7 @@ class DurableStore:
             # Preserve it for inspection and recover from the manifest,
             # entries and chain files, which are each written atomically.
             records = []
-            if apply:
-                self._quarantine_file(self.journal.path, str(exc))
-            report.quarantined.append((JOURNAL_NAME, str(exc)))
+            self._quarantine_file(report, self.journal.path, str(exc), apply)
         committed = {r.seq for r in records if r.phase == "commit"}
         pending = [
             r
@@ -177,11 +213,9 @@ class DurableStore:
 
         # Load the manifest before replay so pending lineage ops apply
         # on top of the last durable state.
-        lineage, manifest_damage = self._load_manifest()
-        if manifest_damage is not None:
-            if apply:
-                self._quarantine_file(self.manifest_path, manifest_damage)
-            report.quarantined.append((MANIFEST_NAME, manifest_damage))
+        lineage, damage = self._load_manifest()
+        if damage is not None:
+            self._quarantine_file(report, self.manifest_path, damage, apply)
 
         lineage_dirty = False
         for record in pending:
@@ -200,17 +234,35 @@ class DurableStore:
                 try:
                     record = read_chain_record(path)
                 except DataError as exc:
-                    if apply:
-                        self._quarantine_file(path, str(exc))
-                    report.quarantined.append((path.name, str(exc)))
+                    self._quarantine_file(report, path, str(exc), apply)
                     continue
                 chains[record.child] = record
+
+        for path in sorted(self.directory.glob(f"*{ENTRY_SUFFIX}")):
+            key = _split_entry_name(path.name)
+            if key is None:
+                continue  # not a warehouse file
+            fingerprint, support_text = key
+            try:
+                if self.faults is not None:
+                    self.faults.fire(WAREHOUSE_READ, detail=f"loading {path.name}")
+                condensed, full_bytes = read_warehouse_entry(path)
+                if str(condensed.absolute_support) != support_text:
+                    raise DataError(
+                        f"filename support {support_text!r} disagrees with "
+                        f"header {condensed.absolute_support}"
+                    )
+            except (DataError, InjectedFaultError) as exc:
+                self._quarantine_file(report, path, str(exc), apply)
+                continue
+            report.entries.append((fingerprint, condensed, full_bytes))
 
         with self._lock:
             self._lineage = lineage
             self._chains = chains
         report.recovered_links = len(lineage)
         report.recovered_chains = len(chains)
+        report.recovered_entries = len(report.entries)
 
         if apply:
             if lineage_dirty:
@@ -292,22 +344,39 @@ class DurableStore:
             return {}, f"cannot read manifest: {exc}"
         try:
             data = json.loads(raw.decode("utf-8"))
-            if data.get("format") != MANIFEST_FORMAT_VERSION:
-                return {}, f"unsupported manifest format {data.get('format')!r}"
-            lineage: dict[str, LineageLink] = {}
-            for child, link in data["lineage"].items():
-                parent, delta_fp, distance = link
-                if not isinstance(child, str) or not isinstance(parent, str):
-                    raise ValueError("non-string fingerprint")
-                lineage[child] = (parent, delta_fp, int(distance))
-            return lineage, None
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, RecursionError) as exc:
             return {}, f"malformed manifest: {exc}"
+        if not isinstance(data, dict):
+            return {}, f"malformed manifest: not an object ({type(data).__name__})"
+        if data.get("format") != MANIFEST_FORMAT_VERSION:
+            return {}, f"unsupported manifest format {data.get('format')!r}"
+        links = data.get("lineage")
+        if not isinstance(links, dict):
+            return {}, "malformed manifest: lineage is not an object"
+        lineage: dict[str, LineageLink] = {}
+        for child, link in links.items():
+            match link:
+                case [str() as parent, str() | None as delta, int() as distance]:
+                    lineage[child] = (parent, delta, distance)
+                case _:
+                    return {}, f"malformed manifest: bad link for {child!r}"
+        return lineage, None
 
-    def _quarantine_file(self, path: Path, reason: str) -> None:
-        destination = self.quarantine_path(path.name)
-        destination.parent.mkdir(parents=True, exist_ok=True)
+    def _quarantine_file(
+        self, report: RecoveryReport, path: Path, reason: str, apply: bool
+    ) -> None:
+        """List a damaged file; when applying, move it into quarantine.
+
+        Never raises: an immovable bad file stays, unloaded, and is
+        listed again by the next recovery.
+        """
+        report.quarantined.append((path.name, reason))
+        if not apply:
+            return
+        logger.warning("quarantining %s: %s", path.name, reason)
+        destination = self.directory / QUARANTINE_DIR / path.name
         try:
+            destination.parent.mkdir(exist_ok=True)
             path.replace(destination)
         except OSError:
             pass
@@ -421,6 +490,7 @@ class DurableStore:
             if self._chains.get(record.child) == record:
                 return
         seq = self.journal.begin(OP_CHAIN, {"child": record.child})
+        self.chains_dir.mkdir(exist_ok=True)
         atomic_write_text(
             self.chain_path(record.child),
             chain_record_text(record),
@@ -445,15 +515,12 @@ class DurableStore:
     # ------------------------------------------------------------------
     # garbage collection
     # ------------------------------------------------------------------
-    def plan_gc(self, warehoused: Collection[str]) -> GCPlan:
-        with self._lock:
-            return plan_gc(dict(self._lineage), dict(self._chains), warehoused)
-
     def gc(
         self, warehoused: Collection[str], *, dry_run: bool = False
     ) -> GCReport:
         """One full GC pass (prune + compaction), journaled unless dry."""
-        plan = self.plan_gc(warehoused)
+        with self._lock:
+            plan = plan_gc(dict(self._lineage), dict(self._chains), warehoused)
         if dry_run or plan.is_empty:
             return GCReport(
                 dropped_links=len(plan.dropped_links),
@@ -544,23 +611,3 @@ class DurableStore:
             detail="manifest",
         )
 
-    def footprint_bytes(self) -> int:
-        """Total durable footprint: entries + chains + manifest + journal."""
-        total = 0
-        for path in self.directory.glob("*.patterns"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        if self.chains_dir.is_dir():
-            for path in self.chains_dir.glob(f"*{CHAIN_SUFFIX}"):
-                try:
-                    total += path.stat().st_size
-                except OSError:
-                    continue
-        for path in (self.manifest_path, self.journal.path):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total

@@ -31,14 +31,12 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   filter), then the smallest stored ``s > r`` (largest subset to
   recycle), then a miss.
 * **Optionally disk-backed, and hardened against the disk.** Given a
-  directory, every entry is also written as an atomic, checksummed
-  pattern file (:func:`repro.data.io.write_warehouse_entry`, carrying a
-  ``# repr=`` header) and reloaded on construction; legacy full-set
-  files load fine and are re-written condensed (migration). A corrupt,
-  truncated or checksum-mismatched
-  file never crashes construction: it is **quarantined** — moved into
-  ``<dir>/quarantine/`` and recorded on :attr:`quarantined` — while
-  every healthy entry is served. A failed write-through degrades the
+  directory, a :class:`~repro.durability.DurableStore` owns every file
+  in it. Its recovery loads entries, chains and lineage in one pass and
+  **quarantines** any corrupt, truncated or checksum-mismatched file
+  (listed on :attr:`quarantined`); the warehouse admits the healthy
+  entries under its budget and migrates legacy full-set entries through
+  the store's journaled writer. A failed write-through degrades the
   warehouse to **memory-only** (:attr:`memory_only_reason`) with a
   logged reason instead of failing the request that triggered it.
 * **Integrity is auditable without re-mining.** :meth:`verify_entry`
@@ -49,27 +47,26 @@ support-level :class:`~repro.mining.patterns.PatternSet`s keyed by
   which hold for any genuine full frequent-pattern set.
 
 A :class:`~repro.resilience.FaultInjector` can be armed on the
-constructor; the warehouse fires ``warehouse.read`` per file load and
-per feedstock lookup and ``warehouse.write`` per write-through, so the
-chaos suite drives the quarantine and degradation paths
-deterministically.
+constructor; ``warehouse.read`` fires per entry-file load (inside the
+store's recovery) and per feedstock lookup, and ``warehouse.write`` per
+write-through, so the chaos suite drives the quarantine and degradation
+paths deterministically.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
-from repro.data.io import read_warehouse_entry, write_warehouse_entry
 from repro.data.patterns import REPRESENTATIONS, CondensedPatternSet
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import VersionedDatabase
 from repro.durability import ChainRecord, DurableStore, RecoveryReport
+from repro.durability.store import RecoveredEntry
 from repro.durability.gc import GCReport, plan_gc
 from repro.errors import DataError, InjectedFaultError, StorageError
 from repro.mining.patterns import PatternSet
@@ -77,12 +74,6 @@ from repro.resilience import WAREHOUSE_READ, WAREHOUSE_WRITE, FaultInjector
 from repro.storage.disk import patterns_byte_size
 
 logger = logging.getLogger(__name__)
-
-#: Filename pattern for disk-backed entries: <fingerprint>-<support>.patterns
-_FILE_SUFFIX = ".patterns"
-
-#: Subdirectory corrupt files are moved into (never scanned on load).
-QUARANTINE_DIR = "quarantine"
 
 
 @dataclass(frozen=True)
@@ -154,16 +145,15 @@ class PatternWarehouse:
         warehouse stores an entry as ``closed`` instead when the caller
         cannot supply the transaction count the deduction rules need.
     migrate_on_load:
-        When persisting, re-write loaded entries whose on-disk
-        representation differs from ``representation`` (pre-condensation
-        full-set files get condensed on first load). Disable for
-        read-only inspection of an existing directory.
+        Re-represent loaded entries whose on-disk representation differs
+        from ``representation`` (pre-condensation full-set files get
+        condensed on first load) and re-write them through the store's
+        journaled writer.
     repair_on_load:
-        When persisting, run full crash recovery before the directory
-        scan — replay pending journal records, sweep stray temp files,
-        quarantine torn chain/manifest files, compact the journal.
-        Disable for read-only inspection (``recover(apply=False)`` still
-        audits; the registries load identically either way).
+        Run crash recovery in repair mode — replay pending journal
+        records, sweep stray temp files, quarantine damaged files,
+        compact the journal. ``False`` opens the directory read-only:
+        recovery only audits, and nothing under it is ever rewritten.
     """
 
     def __init__(
@@ -205,36 +195,31 @@ class PatternWarehouse:
         self.rejections = 0
         #: Entries re-written in a new representation at load time.
         self.migrated = 0
-        #: (filename, reason) for every file quarantined at load time.
-        self.quarantined: list[tuple[str, str]] = []
-        self._quarantined_fingerprints: set[str] = set()
         #: Why persistence was abandoned (None while disk-backed works).
         self.memory_only_reason: str | None = None
-        #: Durability gauges, served through :meth:`stats`.
-        self.recovered_entries = 0
-        self.recovered_chains = 0
-        self.journal_replays = 0
         self.gc_dropped_links = 0
         self.gc_collapsed_hops = 0
-        #: The last :meth:`DurableStore.recover` outcome (None when
-        #: memory-only).
+        #: The :meth:`DurableStore.recover` outcome (None when
+        #: memory-only); the source of every recovery gauge.
         self.recovery_report: RecoveryReport | None = None
         self._store: DurableStore | None = None
+        self._writable = repair_on_load and self.directory is not None
         if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
             self._store = DurableStore(self.directory, fault_injector)
             report = self._store.recover(apply=repair_on_load)
             self.recovery_report = report
-            self.recovered_chains = report.recovered_chains
-            self.journal_replays = report.journal_replays
-            self.quarantined.extend(report.quarantined)
             self._lineage = self._store.lineage_links()
-            self._load_directory()
-            self.recovered_entries = len(self._entries)
-            if report.quarantined or self.quarantined:
+            self._admit_recovered(report.take_entries())
+            if report.quarantined:
                 # Quarantine removed feedstock; links that can no longer
                 # route to any warehoused entry are dead weight.
                 self._prune_lineage()
+
+    @property
+    def quarantined(self) -> list[tuple[str, str]]:
+        """(filename, reason) for every damaged file found at load."""
+        report = self.recovery_report
+        return report.quarantined if report is not None else []
 
     # ------------------------------------------------------------------
     # core operations
@@ -522,7 +507,8 @@ class PatternWarehouse:
         """
         with self._lock:
             warehoused = {fp for fp, _support in self._entries}
-            if self._store is not None and self._persisting():
+            # A dry run only plans, so a read-only store answers it too.
+            if self._store is not None and (dry_run or self._persisting()):
                 try:
                     report = self._store.gc(warehoused, dry_run=dry_run)
                 except (OSError, InjectedFaultError) as exc:
@@ -742,8 +728,8 @@ class PatternWarehouse:
         where quarantined feedstock used to be is
         ``recycle→mine: feedstock_quarantined``, not a plain cold miss.
         """
-        with self._lock:
-            return fingerprint in self._quarantined_fingerprints
+        report = self.recovery_report
+        return report is not None and report.quarantined_entry(fingerprint)
 
     def stats(self) -> dict[str, int]:
         """Structural statistics (entry count, bytes, evictions, health).
@@ -754,6 +740,7 @@ class PatternWarehouse:
         ``full_bytes / stored_bytes`` is the byte-level condensation
         ratio the service and CLI report.
         """
+        report = self.recovery_report or RecoveryReport()
         with self._lock:
             full_bytes = sum(
                 full if full is not None else size
@@ -767,7 +754,7 @@ class PatternWarehouse:
                 "evictions": self.evictions,
                 "rejections": self.rejections,
                 "migrated": self.migrated,
-                "quarantined": len(self.quarantined),
+                "quarantined": len(report.quarantined),
                 "memory_only": int(self.memory_only_reason is not None),
                 "lineage_links": len(self._lineage),
                 "chain_records": (
@@ -775,9 +762,9 @@ class PatternWarehouse:
                     if self._store is not None
                     else 0
                 ),
-                "recovered_entries": self.recovered_entries,
-                "recovered_chains": self.recovered_chains,
-                "journal_replays": self.journal_replays,
+                "recovered_entries": report.recovered_entries,
+                "recovered_chains": report.recovered_chains,
+                "journal_replays": report.journal_replays,
                 "gc_dropped_links": self.gc_dropped_links,
                 "gc_collapsed_hops": self.gc_collapsed_hops,
             }
@@ -829,7 +816,7 @@ class PatternWarehouse:
     # internals
     # ------------------------------------------------------------------
     def _persisting(self) -> bool:
-        return self.directory is not None and self.memory_only_reason is None
+        return self._writable and self.memory_only_reason is None
 
     def _degrade_to_memory(self, reason: str) -> None:
         self.memory_only_reason = reason
@@ -855,52 +842,11 @@ class PatternWarehouse:
             # links (ROADMAP open item 3) go with it.
             self._prune_lineage()
 
-    def _entry_path(self, key: tuple[str, int]) -> Path:
-        fingerprint, support = key
-        assert self.directory is not None
-        return self.directory / f"{fingerprint}-{support}{_FILE_SUFFIX}"
-
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a bad file aside and remember why; never raises."""
-        assert self.directory is not None
-        stem = path.name[: -len(_FILE_SUFFIX)]
-        fingerprint, sep, _support = stem.rpartition("-")
-        if sep and fingerprint:
-            self._quarantined_fingerprints.add(fingerprint)
-        self.quarantined.append((path.name, reason))
-        logger.warning("quarantining warehouse file %s: %s", path.name, reason)
-        target_dir = self.directory / QUARANTINE_DIR
-        try:
-            target_dir.mkdir(exist_ok=True)
-            os.replace(path, target_dir / path.name)
-        except OSError as exc:
-            # The file is bad *and* immovable; leaving it in place is
-            # still safe — it is simply never loaded into the store.
-            logger.warning(
-                "could not move %s into %s/: %s", path.name, QUARANTINE_DIR, exc
-            )
-
-    def _load_directory(self) -> None:
-        assert self.directory is not None
-        for path in sorted(self.directory.glob(f"*{_FILE_SUFFIX}")):
-            stem = path.name[: -len(_FILE_SUFFIX)]
-            fingerprint, sep, support_text = stem.rpartition("-")
-            if not sep or not fingerprint:
-                continue  # not a warehouse file
-            try:
-                if self.faults is not None:
-                    self.faults.fire(WAREHOUSE_READ, detail=f"loading {path.name}")
-                condensed, full_bytes = read_warehouse_entry(path)
-                if str(condensed.absolute_support) != support_text:
-                    raise DataError(
-                        f"filename support {support_text!r} disagrees with "
-                        f"header {condensed.absolute_support}"
-                    )
-            except (DataError, OSError, InjectedFaultError) as exc:
-                self._quarantine(path, str(exc))
-                continue
+    def _admit_recovered(self, entries: list[RecoveredEntry]) -> None:
+        """Admit the store's healthy entries (LRU = filename order)."""
+        for fingerprint, condensed, full_bytes in entries:
             condensed, full_bytes, migrated = self._maybe_migrate(
-                path, condensed, full_bytes
+                fingerprint, condensed, full_bytes
             )
             size = patterns_byte_size(condensed)
             if self.byte_budget is not None and size > self.byte_budget:
@@ -909,13 +855,12 @@ class PatternWarehouse:
             key = (fingerprint, condensed.absolute_support)
             self._entries[key] = (condensed, size, full_bytes)
             self._stored_bytes += size
-            if migrated:
-                self.migrated += 1
+            self.migrated += int(migrated)
         self._evict_to_budget()
 
     def _maybe_migrate(
         self,
-        path: Path,
+        fingerprint: str,
         condensed: CondensedPatternSet,
         full_bytes: int | None,
     ) -> tuple[CondensedPatternSet, int | None, bool]:
@@ -923,16 +868,17 @@ class PatternWarehouse:
 
         Pre-condensation full-set files are how existing directories
         migrate: on first load they are condensed and re-written in the
-        new format. A legacy file carries no transaction count, so an
-        ``ndi`` warehouse migrates it to ``closed`` instead (the
-        deduction rules need ``supp({}) = |D|``). Re-writing reuses the
-        normal write-through path, degrading to memory-only on failure
-        rather than losing the loaded entry.
+        new format through the store's journaled writer. A legacy file
+        carries no transaction count, so an ``ndi`` warehouse migrates it
+        to ``closed`` instead (the deduction rules need
+        ``supp({}) = |D|``). A read-only warehouse migrates nothing; a
+        failed re-write degrades to memory-only.
         """
         target = self.representation
         if target == "ndi" and condensed.n_transactions is None:
             target = "closed"
-        if not self.migrate_on_load or condensed.representation == target:
+        migrate = self.migrate_on_load and self._writable
+        if not migrate or condensed.representation == target:
             return condensed, full_bytes, False
         full = condensed.expand()
         if full_bytes is None:
@@ -945,10 +891,15 @@ class PatternWarehouse:
             ndi_depth=condensed.ndi_depth,
         )
         if self._persisting():
+            assert self._store is not None
             try:
-                write_warehouse_entry(migrated, path, full_bytes=full_bytes)
-            except OSError as exc:
+                self._store.write_entry(
+                    fingerprint, migrated.absolute_support, migrated,
+                    full_bytes=full_bytes,
+                )
+            except (OSError, InjectedFaultError) as exc:
                 self._degrade_to_memory(
-                    f"migration re-write of {path.name} failed: {exc}"
+                    f"migration re-write of {fingerprint[:12]}@"
+                    f"{migrated.absolute_support} failed: {exc}"
                 )
         return migrated, full_bytes, True

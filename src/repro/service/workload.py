@@ -104,7 +104,7 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
         if dataset is None:
             raise DataError(f"request #{index} has no dataset (and no default)")
         dataset = str(dataset)
-        seed = int(entry.get("seed", spec.get("seed", 0)))
+        seed = _integer(entry.get("seed", spec.get("seed", 0)), index, "seed")
         op = entry.get("op")
         if op is None:
             _refuse_unknown_keys(entry, REQUEST_KEYS, f"request #{index}")
@@ -129,11 +129,17 @@ def parse_workload_items(spec: dict) -> "list[MineRequest | DeltaOp]":
                 support=support,
                 tenant=str(entry.get("tenant", f"user-{index}")),
                 strategy=str(entry.get("strategy", spec.get("strategy", "mcp"))),
-                jobs=int(entry.get("jobs", spec.get("jobs", 1))),
+                jobs=_integer(entry.get("jobs", spec.get("jobs", 1)), index, "jobs"),
                 version=version,
             )
         )
     return items
+
+
+def _integer(value: object, index: int, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"request #{index}: {key} must be an integer, got {value!r}")
+    return value
 
 
 def _refuse_unknown_keys(entry: dict, allowed: frozenset, where: str) -> None:

@@ -73,6 +73,14 @@ class TestPatternIO:
         with pytest.raises(DataError, match="malformed"):
             parse_patterns(io.StringIO("1 2 : x\n"))
 
+    def test_parse_rejects_conflicting_duplicate_rows(self):
+        with pytest.raises(DataError, match="line 2: conflicting supports"):
+            parse_patterns(io.StringIO("1 2 : 3\n2 1 : 4\n"))
+
+    def test_parse_rejects_negative_support(self):
+        with pytest.raises(DataError, match="line 1: negative support"):
+            parse_patterns(io.StringIO("1 : -3\n"))
+
     def test_parse_skips_comments(self):
         patterns = parse_patterns(io.StringIO("# header\n1 2 : 3\n"))
         assert patterns.support({1, 2}) == 3
@@ -160,6 +168,17 @@ class TestChecksumHeader:
         path.write_text(text[: text.rindex("\n1")])  # drop the last row
         with pytest.raises(DataError, match="checksum mismatch"):
             read_patterns_with_support(path)
+
+    def test_legacy_file_with_conflicting_rows_is_a_data_error(self, tmp_path):
+        """No checksum guards a legacy body, so the row parser itself
+        must refuse two supports for one itemset."""
+        from repro.data.io import read_warehouse_entry
+        from repro.errors import DataError
+
+        path = tmp_path / "p.patterns"
+        path.write_text("# absolute_support=3\n1 2 : 3\n2 1 : 5\n")
+        with pytest.raises(DataError, match="conflicting supports"):
+            read_warehouse_entry(path)
 
     def test_headerless_checksum_file_reads_unverified(self, tmp_path):
         """Back-compat: files written before the checksum header existed

@@ -157,6 +157,44 @@ class TestQuarantine:
         report = DurableStore(tmp_path).recover()
         assert any(name == "MANIFEST" for name, _ in report.quarantined)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "1",
+            '{"format": 1, "lineage": []}',
+            '{"format": 1, "lineage": {"c": "abc"}}',
+            '{"format": 1, "lineage": {"c": ["p", null, 1e999]}}',
+            '{"format": 1, "lineage": {"c": ["p", 7, 1]}}',
+        ],
+    )
+    def test_well_formed_json_of_the_wrong_shape_is_quarantined(
+        self, tmp_path, text
+    ):
+        (tmp_path / "MANIFEST").write_text(text)
+        report = DurableStore(tmp_path).recover()
+        assert [name for name, _ in report.quarantined] == ["MANIFEST"]
+        assert report.recovered_links == 0
+        assert (tmp_path / "quarantine" / "MANIFEST").exists()
+
+    def test_corrupt_entry_file_is_quarantined_with_the_rest(self, tmp_path):
+        store = DurableStore(tmp_path)
+        store.write_entry("a" * 64, 3, condensed_patterns())
+        store.write_entry("b" * 64, 3, condensed_patterns())
+        path = store.entry_path("a" * 64, 3)
+        path.write_text(path.read_text()[:-4])
+        audit = DurableStore(tmp_path).recover(apply=False)
+        assert [name for name, _ in audit.quarantined] == [path.name]
+        assert audit.quarantined_entry("a" * 64)
+        assert not audit.quarantined_entry("b" * 64)
+        assert path.exists()  # the audit moves nothing
+        report = DurableStore(tmp_path).recover()
+        assert [name for name, _ in report.quarantined] == [path.name]
+        assert [fp for fp, _c, _full in report.take_entries()] == ["b" * 64]
+        assert report.recovered_entries == 1 and report.entries == []
+        assert (tmp_path / "quarantine" / path.name).exists()
+        assert not path.exists()
+
 
 class TestGC:
     def test_dead_links_and_chain_files_are_dropped(self, tmp_path):

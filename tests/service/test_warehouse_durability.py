@@ -3,12 +3,15 @@ drop/evict/quarantine, persisted chains, and the GC entry point."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.data.synthetic import QuestParams, quest_database
 from repro.data.transactions import TransactionDatabase
 from repro.data.versioned import DatabaseDelta, VersionedDatabase
 from repro.durability import record_from_node
+from repro.durability.journal import OP_DROP, format_record
 from repro.mining.hmine import mine_hmine
 from repro.service import PatternWarehouse
 
@@ -46,8 +49,8 @@ class TestRestartRecovery:
         db = make_db()
         _, (v0, v1, v2) = seed_warehouse(tmp_path, db)
         reopened = PatternWarehouse(directory=tmp_path)
-        assert reopened.recovered_entries == 1
-        assert reopened.recovered_chains == 2
+        assert reopened.recovery_report.recovered_entries == 1
+        assert reopened.recovery_report.recovered_chains == 2
         assert reopened.get(v0.fingerprint(), 6) == mine_hmine(db, 6)
         # The lineage registry recovered: a request at v2 still routes
         # to v0's warehoused patterns two hops up.
@@ -187,3 +190,56 @@ class TestNonUtf8Bytes:
         assert not path.exists() or path.read_bytes()[:1] != b"\xff"
         if kind != "entry":
             assert reopened.get(v0.fingerprint(), 6) == mine_hmine(db, 6)
+
+
+def tree_digest(root):
+    """SHA-256 of every file under ``root``, keyed by relative path."""
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+class TestReadOnlyOpen:
+    @pytest.mark.parametrize("journal", ["pending", "undecodable"])
+    def test_audit_mode_changes_no_file(self, tmp_path, journal):
+        """One damaged file of each kind, a stray temp file and journal
+        damage: a read-only open lists the damage and moves nothing."""
+        db = make_db()
+        warehouse, (v0, v1, _v2) = seed_warehouse(tmp_path, db)
+        warehouse.put(v0.fingerprint(), 10, mine_hmine(db, 10))
+        entry = tmp_path / f"{v0.fingerprint()}-6.patterns"
+        entry.write_text(entry.read_text()[:-8])
+        chain = tmp_path / "chains" / f"{v1.fingerprint()}.chain"
+        chain.write_text(chain.read_text()[:-3])
+        (tmp_path / "MANIFEST").write_text("[]")
+        (tmp_path / "stray.patterns123.tmp").write_text("half a write")
+        log = tmp_path / "journal.log"
+        if journal == "pending":
+            healthy = f"{v0.fingerprint()}-10.patterns"
+            with log.open("a", encoding="utf-8") as handle:
+                handle.write(format_record(99, "begin", OP_DROP, {"file": healthy}))
+                handle.write("100\tbegin\tput\t{}\ttorn")
+        else:
+            log.write_bytes(b"\xff" + log.read_bytes())
+        before = tree_digest(tmp_path)
+
+        audit = PatternWarehouse(
+            directory=tmp_path, repair_on_load=False, migrate_on_load=False
+        )
+        damaged = {entry.name, chain.name, "MANIFEST"}
+        if journal == "undecodable":
+            damaged.add("journal.log")
+        assert {name for name, _ in audit.quarantined} == damaged
+        assert audit.has_quarantined(v0.fingerprint())
+        # A read-only warehouse keeps its writes in memory.
+        audit.put("c" * 64, 6, mine_hmine(db, 6))
+        audit.gc(dry_run=True)
+        assert tree_digest(tmp_path) == before
+
+        repaired = PatternWarehouse(directory=tmp_path)
+        assert {name for name, _ in repaired.quarantined} == damaged
+        assert not entry.exists() and not chain.exists()
+        assert (tmp_path / "quarantine" / entry.name).exists()
+        assert list(tmp_path.glob("*.tmp")) == []

@@ -14,7 +14,7 @@ from repro.errors import StorageError
 from repro.mining.hmine import mine_hmine
 from repro.mining.patterns import PatternSet
 from repro.service import PatternWarehouse
-from repro.service.warehouse import QUARANTINE_DIR
+from repro.durability.store import QUARANTINE_DIR
 from repro.resilience import WAREHOUSE_READ, WAREHOUSE_WRITE, FaultInjector
 
 
@@ -94,6 +94,14 @@ class TestQuarantine:
         warehouse = PatternWarehouse(directory=tmp_path)
         assert len(warehouse) == 0
         assert "disagrees" in warehouse.quarantined[0][1]
+
+    def test_legacy_file_with_conflicting_rows_is_quarantined(self, db, tmp_path):
+        name = f"{db.fingerprint()}-3.patterns"
+        (tmp_path / name).write_text("# absolute_support=3\n1 2 : 3\n2 1 : 5\n")
+        warehouse = PatternWarehouse(directory=tmp_path)
+        assert len(warehouse) == 0
+        assert [n for n, _ in warehouse.quarantined] == [name]
+        assert (tmp_path / QUARANTINE_DIR / name).exists()
 
     def test_injected_read_fault_quarantines_that_file_only(self, db, tmp_path):
         fingerprint = populate(tmp_path, db, supports=(12, 8))

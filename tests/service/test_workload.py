@@ -59,6 +59,12 @@ class TestParsing:
             ({"requests": [{"support": 0.5, "dataset": "mars"}]}, "unknown dataset"),
             ({"dataset": None, "requests": [{"support": 0.5}]}, "no dataset"),
             ({"requests": [{"op": ["append"]}]}, "unknown op"),
+            ({"seed": "x"}, "seed must be an integer"),
+            ({"requests": [{"support": 0.5, "seed": [1]}]}, "seed must be an integer"),
+            ({"requests": [{"support": 0.5, "seed": 1.5}]}, "seed must be an integer"),
+            ({"jobs": "x"}, "jobs must be an integer"),
+            ({"requests": [{"support": 0.5, "jobs": [1]}]}, "jobs must be an integer"),
+            ({"jobs": True}, "jobs must be an integer"),
         ],
     )
     def test_malformed_workloads_rejected(self, mutation, message):

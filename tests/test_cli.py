@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.data.io import read_patterns, write_transactions
 from repro.data.transactions import TransactionDatabase
 from repro.mining.apriori import mine_apriori
+
+
+def tree_digest(root):
+    """SHA-256 of every file under ``root``, keyed by relative path."""
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 @pytest.fixture
@@ -192,6 +203,18 @@ class TestServeBatch:
         assert code == 0
         assert list(store.glob("*.patterns"))
 
+    @pytest.mark.parametrize("key, value", [("seed", "x"), ("jobs", [1])])
+    def test_non_integer_field_errors_cleanly(self, tmp_path, capsys, key, value):
+        import json
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(
+            {"dataset": "weather", key: value, "requests": [{"support": 0.5}]}
+        ))
+        code = main(["serve-batch", "--workload", str(path)])
+        assert code == 1
+        assert f"{key} must be an integer" in capsys.readouterr().err
+
     def test_missing_workload_errors_cleanly(self, tmp_path, capsys):
         code = main(["serve-batch", "--workload", str(tmp_path / "nope.json")])
         assert code == 1
@@ -307,6 +330,28 @@ class TestWarehouseCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "FAILED" in out
+
+    @staticmethod
+    def _tear_entry(directory, db):
+        path = directory / f"{db.fingerprint()}-4.patterns"
+        path.write_text(path.read_text()[:-8])
+        return path
+
+    def test_inspection_leaves_a_corrupt_entry_in_place(self, store, capsys):
+        directory, db = store
+        self._tear_entry(directory, db)
+        before = tree_digest(directory)
+        assert main(["warehouse", "--dir", str(directory)]) == 0
+        assert tree_digest(directory) == before
+        assert "1 damaged file(s) left in place" in capsys.readouterr().out
+
+    def test_recover_lists_a_corrupt_entry_and_exits_nonzero(self, store, capsys):
+        directory, db = store
+        path = self._tear_entry(directory, db)
+        assert main(["warehouse", "recover", "--dir", str(directory)]) == 1
+        assert f"quarantined {path.name}: " in capsys.readouterr().out
+        assert (directory / "quarantine" / path.name).exists()
+        assert not path.exists()
 
     def test_inspection_does_not_migrate_files(self, tmp_path, capsys):
         from repro.data.io import write_patterns_with_support

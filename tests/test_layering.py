@@ -280,3 +280,44 @@ def test_serving_layers_run_one_kernel():
         "serving layers must run the grouped kernel, not a named miner:\n  "
         + "\n  ".join(offenders)
     )
+
+
+#: Names that read, write or move durable warehouse files. Only
+#: ``repro.durability`` may use them on a warehouse directory.
+DURABLE_FILE_ACCESS = {
+    "QUARANTINE_DIR",
+    "glob",
+    "read_warehouse_entry",
+    "write_warehouse_entry",
+}
+OS_FILE_MOVES = {"remove", "rename", "replace", "unlink"}
+
+
+def test_service_owns_no_durable_files():
+    """The durable store is the one owner of the warehouse directory:
+    entry loading, migration writes and quarantine all go through it."""
+    offenders: list[str] = []
+    for path in sorted(SRC.glob("repro/service/**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            used: set[str] = set()
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+                if (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id == "os"
+                    and node.attr in OS_FILE_MOVES
+                ):
+                    used.add(f"os.{node.attr}")
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+            for name in sorted(used & DURABLE_FILE_ACCESS) + sorted(
+                n for n in used if n.startswith("os.")
+            ):
+                offenders.append(f"{module_name(path)} references {name}")
+    assert not offenders, (
+        "repro.service must reach the directory through DurableStore:\n  "
+        + "\n  ".join(offenders)
+    )
